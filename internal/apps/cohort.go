@@ -36,6 +36,7 @@ type CohortLock struct {
 	// many local handoffs it has consumed (bookkeeping mirrors the
 	// simulated lock words; it never substitutes for them).
 	passCount int
+	ops       []*cohortOp
 }
 
 // NewCohortLock builds the lock for machine-described socket mapping.
@@ -60,72 +61,106 @@ func (l *CohortLock) localLine(socket int) coherence.LineID {
 }
 
 func (l *CohortLock) Step(th *Thread, done func()) {
-	socket := l.socketOf(th.Core)
-	l.acquireLocal(th, socket, func(globalHeld bool) {
-		finishCrit := func() {
-			l.cycles++
-			l.release(th, socket, done)
-		}
-		// Critical section: update shared data.
-		l.mem.FetchAndAdd(th.Core, dataLine, 1, func(atomics.Result) {
-			if l.crit > 0 {
-				l.eng.Schedule(l.crit, finishCrit)
-			} else {
-				finishCrit()
-			}
-		})
-		_ = globalHeld
-	})
+	o := threadCtx(l, &l.ops, th, newCohortOp)
+	o.done = done
+	o.socket = l.socketOf(th.Core)
+	o.spinLocal()
 }
 
-// acquireLocal spins on the socket's local lock line; the winner checks
+// cohortOp is one thread's in-flight acquire → critical section →
+// release cycle.
+type cohortOp struct {
+	threadOp
+	l           *CohortLock
+	socket      int
+	localFn     func(atomics.Result)
+	globalSeeFn func(atomics.Result)
+	globalCASFn func(atomics.Result)
+	critFn      func(atomics.Result)
+	releaseFn   func()
+	surrenderFn func(atomics.Result)
+	releasedFn  func(atomics.Result)
+}
+
+func newCohortOp(l *CohortLock, th *Thread) *cohortOp {
+	o := &cohortOp{threadOp: threadOp{th: th}, l: l}
+	o.localFn = o.onLocal
+	o.globalSeeFn = o.onGlobalSeen
+	o.globalCASFn = o.onGlobalCAS
+	o.critFn = o.onCrit
+	o.releaseFn = o.release
+	o.surrenderFn = o.onSurrender
+	o.releasedFn = o.finished
+	return o
+}
+
+// spinLocal spins on the socket's local lock line; the winner checks
 // whether its cohort already owns the global lock (value == socket+1)
 // and otherwise acquires it.
-func (l *CohortLock) acquireLocal(th *Thread, socket int, locked func(globalHeld bool)) {
-	var spinLocal func()
-	spinLocal = func() {
-		l.attempts++
-		l.mem.TestAndSet(th.Core, l.localLine(socket), func(r atomics.Result) {
-			if r.Old != 0 {
-				spinLocal()
-				return
-			}
-			// Local lock held. Does the cohort hold the global lock?
-			l.mem.LoadOp(th.Core, cohortGlobalLine, func(rg atomics.Result) {
-				if rg.Old == uint64(socket+1) {
-					locked(true) // inherited via local handoff
-					return
-				}
-				l.acquireGlobal(th, socket, locked)
-			})
-		})
-	}
-	spinLocal()
+func (o *cohortOp) spinLocal() {
+	o.l.attempts++
+	o.l.mem.TestAndSet(o.th.Core, o.l.localLine(o.socket), o.localFn)
 }
 
-func (l *CohortLock) acquireGlobal(th *Thread, socket int, locked func(bool)) {
-	l.attempts++
-	l.mem.CompareAndSwap(th.Core, cohortGlobalLine, 0, uint64(socket+1), func(r atomics.Result) {
-		if !r.OK {
-			l.acquireGlobal(th, socket, locked)
-			return
-		}
-		l.passCount = 0
-		locked(false)
-	})
+func (o *cohortOp) onLocal(r atomics.Result) {
+	if r.Old != 0 {
+		o.spinLocal()
+		return
+	}
+	// Local lock held. Does the cohort hold the global lock?
+	o.l.mem.LoadOp(o.th.Core, cohortGlobalLine, o.globalSeeFn)
+}
+
+func (o *cohortOp) onGlobalSeen(r atomics.Result) {
+	if r.Old == uint64(o.socket+1) {
+		o.locked() // inherited via local handoff
+		return
+	}
+	o.acquireGlobal()
+}
+
+func (o *cohortOp) acquireGlobal() {
+	o.l.attempts++
+	o.l.mem.CompareAndSwap(o.th.Core, cohortGlobalLine, 0, uint64(o.socket+1), o.globalCASFn)
+}
+
+func (o *cohortOp) onGlobalCAS(r atomics.Result) {
+	if !r.OK {
+		o.acquireGlobal()
+		return
+	}
+	o.l.passCount = 0
+	o.locked()
+}
+
+// locked runs the critical section: update shared data, hold, release.
+func (o *cohortOp) locked() {
+	o.l.mem.FetchAndAdd(o.th.Core, dataLine, 1, o.critFn)
+}
+
+func (o *cohortOp) onCrit(atomics.Result) {
+	if o.l.crit > 0 {
+		o.l.eng.Schedule(o.l.crit, o.releaseFn)
+		return
+	}
+	o.release()
 }
 
 // release hands off within the socket when the budget allows (keep the
 // global lock, free the local one), else surrenders both.
-func (l *CohortLock) release(th *Thread, socket int, done func()) {
+func (o *cohortOp) release() {
+	l := o.l
+	l.cycles++
 	l.passCount++
 	if l.passCount < l.MaxHandoffs {
 		l.handoffs++
-		l.mem.StoreOp(th.Core, l.localLine(socket), 0, func(atomics.Result) { done() })
+		l.mem.StoreOp(o.th.Core, l.localLine(o.socket), 0, o.releasedFn)
 		return
 	}
 	// Surrender the global lock first, then the local one.
-	l.mem.StoreOp(th.Core, cohortGlobalLine, 0, func(atomics.Result) {
-		l.mem.StoreOp(th.Core, l.localLine(socket), 0, func(atomics.Result) { done() })
-	})
+	l.mem.StoreOp(o.th.Core, cohortGlobalLine, 0, o.surrenderFn)
+}
+
+func (o *cohortOp) onSurrender(atomics.Result) {
+	o.l.mem.StoreOp(o.th.Core, o.l.localLine(o.socket), 0, o.releasedFn)
 }

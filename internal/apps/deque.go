@@ -42,7 +42,7 @@ type WSDeque struct {
 	// steal attempts, successful or not (RetryStats).
 	attempts uint64
 
-	ctxs []*dequeOp
+	ops []*dequeOp
 }
 
 // NewWSDeque builds one deque per thread, each pre-seeded with depth
@@ -54,27 +54,12 @@ func NewWSDeque(mem *atomics.Memory, threads, depth int) (*WSDeque, error) {
 	if depth < 0 || depth > dequeBufSlots {
 		return nil, fmt.Errorf("apps: ws-deque depth %d out of 0..%d", depth, dequeBufSlots)
 	}
-	d := &WSDeque{mem: mem, threads: threads, ctxs: make([]*dequeOp, threads)}
+	d := &WSDeque{mem: mem, threads: threads}
 	for i := 0; i < threads; i++ {
 		for j := 0; j < depth; j++ {
 			mem.System().SetValue(d.buf(i, uint64(j)), uint64(j))
 		}
 		mem.System().SetValue(d.bottom(i), uint64(depth))
-		o := &dequeOp{d: d}
-		o.pushLoadBFn = o.pushLoadB
-		o.pushStoreBufFn = o.pushStoreBuf
-		o.pushStoreBFn = o.pushStoreB
-		o.takeLoadBFn = o.takeLoadB
-		o.takeStoreBFn = o.takeStoreB
-		o.takeLoadTFn = o.takeLoadT
-		o.takeLoadBufFn = o.takeLoadBuf
-		o.takeCASFn = o.takeCAS
-		o.takeSettleFn = o.takeSettle
-		o.stealLoadTFn = o.stealLoadT
-		o.stealLoadBFn = o.stealLoadB
-		o.stealLoadBufFn = o.stealLoadBuf
-		o.stealCASFn = o.stealCAS
-		d.ctxs[i] = o
 	}
 	return d, nil
 }
@@ -103,8 +88,8 @@ func (d *WSDeque) buf(owner int, idx uint64) coherence.LineID {
 }
 
 func (d *WSDeque) Step(th *Thread, done func()) {
-	o := d.ctxs[th.ID]
-	o.th, o.done = th, done
+	o := threadCtx(d, &d.ops, th, newDequeOp)
+	o.done = done
 	if th.RNG.Float64() < 0.5 {
 		d.mem.LoadOp(th.Core, d.bottom(th.ID), o.pushLoadBFn)
 	} else {
@@ -112,18 +97,14 @@ func (d *WSDeque) Step(th *Thread, done func()) {
 	}
 }
 
-// dequeOp is one thread's in-flight operation. Threads are closed-loop
-// (one Step in flight each), so a single context per thread with
-// callbacks built at construction keeps the deque allocation-free.
+// dequeOp is one thread's in-flight operation.
 type dequeOp struct {
-	d    *WSDeque
-	th   *Thread
-	done func()
+	threadOp
+	d *WSDeque
 
-	b, t    uint64
-	victim  int
-	casWon  bool
-	stealOK bool
+	b, t   uint64
+	victim int
+	casWon bool
 
 	pushLoadBFn    func(atomics.Result)
 	pushStoreBufFn func(atomics.Result)
@@ -140,13 +121,25 @@ type dequeOp struct {
 	stealCASFn     func(atomics.Result)
 }
 
-func (o *dequeOp) finish() {
-	done := o.done
-	o.done = nil
-	done()
+// Owner push: load bottom, write the item line, publish bottom+1.
+func newDequeOp(d *WSDeque, th *Thread) *dequeOp {
+	o := &dequeOp{threadOp: threadOp{th: th}, d: d}
+	o.pushLoadBFn = o.pushLoadB
+	o.pushStoreBufFn = o.pushStoreBuf
+	o.pushStoreBFn = o.pushStoreB
+	o.takeLoadBFn = o.takeLoadB
+	o.takeStoreBFn = o.takeStoreB
+	o.takeLoadTFn = o.takeLoadT
+	o.takeLoadBufFn = o.takeLoadBuf
+	o.takeCASFn = o.takeCAS
+	o.takeSettleFn = o.takeSettle
+	o.stealLoadTFn = o.stealLoadT
+	o.stealLoadBFn = o.stealLoadB
+	o.stealLoadBufFn = o.stealLoadBuf
+	o.stealCASFn = o.stealCAS
+	return o
 }
 
-// Owner push: load bottom, write the item line, publish bottom+1.
 func (o *dequeOp) pushLoadB(r atomics.Result) {
 	o.b = r.Old
 	o.d.mem.StoreOp(o.th.Core, o.d.buf(o.th.ID, o.b), o.b, o.pushStoreBufFn)

@@ -77,38 +77,3 @@ func TestWSDequeSingleThread(t *testing.T) {
 		t.Fatalf("single thread stole %d times", steals)
 	}
 }
-
-// TestWSDequeDoesNotAllocate extends the access path's zero-alloc
-// contract to the deque: with per-thread contexts warm, owner ops and
-// steals allocate nothing per operation.
-func TestWSDequeDoesNotAllocate(t *testing.T) {
-	eng := sim.NewEngine()
-	mem, err := atomics.NewMemory(eng, machine.Ideal(8), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewWSDeque(mem, 4, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := sim.NewRNG(7)
-	ths := make([]*Thread, 4)
-	for i := range ths {
-		ths[i] = &Thread{ID: i, Core: i, RNG: root.Split()}
-	}
-	noop := func() {}
-	// Warm every thread's context and the primitive-layer pools.
-	for _, th := range ths {
-		d.Step(th, noop)
-		eng.Drain()
-	}
-	i := 0
-	avg := testing.AllocsPerRun(200, func() {
-		d.Step(ths[i%4], noop)
-		eng.Drain()
-		i++
-	})
-	if avg != 0 {
-		t.Fatalf("deque op allocates %.1f allocs/op, want 0", avg)
-	}
-}

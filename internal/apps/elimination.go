@@ -24,7 +24,6 @@ const elimBase coherence.LineID = 1 << 23
 type EliminationStack struct {
 	*TreiberStack
 	eng    *sim.Engine
-	mem    *atomics.Memory
 	slots  int
 	window sim.Time
 	elims  uint64
@@ -40,13 +39,14 @@ func NewEliminationStack(eng *sim.Engine, mem *atomics.Memory, depth, slots int,
 	if window <= 0 {
 		window = 200 * sim.Nanosecond
 	}
-	return &EliminationStack{
+	s := &EliminationStack{
 		TreiberStack: NewTreiberStack(mem, depth),
 		eng:          eng,
-		mem:          mem,
 		slots:        slots,
 		window:       window,
 	}
+	s.TreiberStack.elim = s
+	return s
 }
 
 func (s *EliminationStack) Name() string { return "elimination-stack" }
@@ -59,102 +59,61 @@ func (s *EliminationStack) slot(th *Thread) coherence.LineID {
 	return elimBase + coherence.LineID(th.RNG.Intn(s.slots))*256
 }
 
-func (s *EliminationStack) Step(th *Thread, done func()) {
-	if th.RNG.Float64() < 0.5 {
-		s.pushElim(th, done)
-	} else {
-		s.popElim(th, done)
+// Steps are the Treiber stack's (the embedded Step), except that a
+// failed top CAS falls back to the collision array: a push parks in a
+// slot (park), a pop probes one (probe).
+
+// park parks a push whose top CAS failed (o.top holds the freshly
+// observed top) in a slot for one window; a matching pop eliminates
+// it, otherwise the push withdraws and retries on the stack.
+func (o *stackOp) park() {
+	o.slot = o.s.elim.slot(o.th)
+	o.s.mem.CompareAndSwap(o.th.Core, o.slot, slotEmpty, slotPusher, o.parkFn)
+}
+
+func (o *stackOp) parked(r atomics.Result) {
+	if !r.OK {
+		// Slot busy: go straight back to the stack.
+		o.push(o.top)
+		return
 	}
+	o.s.elim.eng.Schedule(o.s.elim.window, o.windowFn)
 }
 
-// pushElim attempts one Treiber push; on CAS failure it tries to park
-// in a collision slot before retrying.
-func (s *EliminationStack) pushElim(th *Thread, done func()) {
-	id := s.alloc()
-	var attempt func(oldTop uint64)
-	attempt = func(oldTop uint64) {
-		s.mem.StoreOp(th.Core, s.nodeLine(id), oldTop, func(atomics.Result) {
-			s.attempts++
-			s.mem.CompareAndSwap(th.Core, topLine, oldTop, id, func(r atomics.Result) {
-				if r.OK {
-					s.pushes++
-					done()
-					return
-				}
-				s.parkPush(th, r.Old, id, attempt, done)
-			})
-		})
+func (o *stackOp) windowOver() {
+	o.s.mem.CompareAndSwap(o.th.Core, o.slot, slotPusher, slotEmpty, o.withdrawFn)
+}
+
+func (o *stackOp) withdrawn(r atomics.Result) {
+	if r.OK {
+		// No partner came: withdraw and retry on the stack.
+		o.push(o.top)
+		return
 	}
-	attempt(th.lastSeen)
+	// A popper matched us (slot says so): reset the slot and finish —
+	// the pair never touched the top pointer.
+	o.s.mem.StoreOp(o.th.Core, o.slot, slotEmpty, o.parkedResetFn)
 }
 
-// parkPush parks a failed push in a slot for one window; a matching pop
-// eliminates it, otherwise the push withdraws and retries on the stack.
-func (s *EliminationStack) parkPush(th *Thread, freshTop, id uint64, retry func(uint64), done func()) {
-	slot := s.slot(th)
-	s.mem.CompareAndSwap(th.Core, slot, slotEmpty, slotPusher, func(r atomics.Result) {
-		if !r.OK {
-			// Slot busy: go straight back to the stack.
-			retry(freshTop)
-			return
-		}
-		s.eng.Schedule(s.window, func() {
-			s.mem.CompareAndSwap(th.Core, slot, slotPusher, slotEmpty, func(r2 atomics.Result) {
-				if r2.OK {
-					// No partner came: withdraw and retry on the stack.
-					retry(freshTop)
-					return
-				}
-				// A popper matched us (slot says so): reset the slot
-				// and finish — the pair never touched the top pointer.
-				s.mem.StoreOp(th.Core, slot, slotEmpty, func(atomics.Result) {
-					s.elims++
-					s.pushes++
-					done()
-				})
-			})
-		})
-	})
+func (o *stackOp) parkedReset(atomics.Result) {
+	o.s.elim.elims++
+	o.s.pushes++
+	o.finish()
 }
 
-// popElim attempts one Treiber pop; on CAS failure it probes a slot for
-// a waiting pusher before retrying.
-func (s *EliminationStack) popElim(th *Thread, done func()) {
-	s.mem.LoadOp(th.Core, topLine, func(r atomics.Result) {
-		top := r.Old
-		if top == 0 {
-			s.empties++
-			done()
-			return
-		}
-		s.mem.LoadOp(th.Core, s.nodeLine(top), func(rn atomics.Result) {
-			next := rn.Old
-			s.attempts++
-			s.mem.CompareAndSwap(th.Core, topLine, top, next, func(rc atomics.Result) {
-				if rc.OK {
-					th.lastSeen = next
-					s.pops++
-					done()
-					return
-				}
-				th.lastSeen = rc.Old
-				s.probePop(th, done)
-			})
-		})
-	})
+// probe checks one slot for a waiting pusher after a pop's top CAS
+// failed; a hit eliminates the pair, a miss retries on the stack.
+func (o *stackOp) probe() {
+	o.slot = o.s.elim.slot(o.th)
+	o.s.mem.CompareAndSwap(o.th.Core, o.slot, slotPusher, slotMatched, o.probeFn)
 }
 
-// probePop checks one slot for a waiting pusher; a hit eliminates the
-// pair, a miss retries on the stack.
-func (s *EliminationStack) probePop(th *Thread, done func()) {
-	slot := s.slot(th)
-	s.mem.CompareAndSwap(th.Core, slot, slotPusher, slotMatched, func(r atomics.Result) {
-		if r.OK {
-			s.elims++
-			s.pops++
-			done()
-			return
-		}
-		s.popElim(th, done)
-	})
+func (o *stackOp) probed(r atomics.Result) {
+	if r.OK {
+		o.s.elim.elims++
+		o.s.pops++
+		o.finish()
+		return
+	}
+	o.pop()
 }

@@ -25,6 +25,7 @@ type MSQueue struct {
 	dequeues uint64
 	empties  uint64
 	attempts uint64
+	ops      []*queueOp
 }
 
 // NewMSQueue returns a queue pre-seeded with depth elements (plus the
@@ -76,73 +77,123 @@ func (q *MSQueue) Step(th *Thread, done func()) {
 }
 
 func (q *MSQueue) enqueue(th *Thread, done func()) {
-	id := q.alloc()
+	o := threadCtx(q, &q.ops, th, newQueueOp)
+	o.done = done
+	o.id = q.alloc()
 	// Initialize the new node's next pointer (private line until
 	// published by the CAS on its predecessor).
-	q.mem.StoreOp(th.Core, q.node(id), 0, func(atomics.Result) {
-		q.enqueueLoop(th, id, done)
-	})
-}
-
-func (q *MSQueue) enqueueLoop(th *Thread, id uint64, done func()) {
-	q.mem.LoadOp(th.Core, tailLine, func(rt atomics.Result) {
-		tail := rt.Old
-		q.mem.LoadOp(th.Core, q.node(tail), func(rn atomics.Result) {
-			next := rn.Old
-			if next != 0 {
-				// Tail lags: help swing it, then retry.
-				q.mem.CompareAndSwap(th.Core, tailLine, tail, next, func(atomics.Result) {
-					q.enqueueLoop(th, id, done)
-				})
-				return
-			}
-			q.attempts++
-			q.mem.CompareAndSwap(th.Core, q.node(tail), 0, id, func(rc atomics.Result) {
-				if !rc.OK {
-					q.enqueueLoop(th, id, done)
-					return
-				}
-				// Published; swing the tail (best effort — failure means
-				// someone helped already).
-				q.mem.CompareAndSwap(th.Core, tailLine, tail, id, func(atomics.Result) {
-					q.enqueues++
-					done()
-				})
-			})
-		})
-	})
+	q.mem.StoreOp(th.Core, q.node(o.id), 0, o.enqStoreFn)
 }
 
 func (q *MSQueue) dequeue(th *Thread, done func()) {
-	q.mem.LoadOp(th.Core, headLine, func(rh atomics.Result) {
-		head := rh.Old
-		q.mem.LoadOp(th.Core, tailLine, func(rt atomics.Result) {
-			tail := rt.Old
-			q.mem.LoadOp(th.Core, q.node(head), func(rn atomics.Result) {
-				next := rn.Old
-				if next == 0 {
-					// Empty (only the dummy remains).
-					q.empties++
-					done()
-					return
-				}
-				if head == tail {
-					// Tail lags behind a concurrent enqueue: help.
-					q.mem.CompareAndSwap(th.Core, tailLine, tail, next, func(atomics.Result) {
-						q.dequeue(th, done)
-					})
-					return
-				}
-				q.attempts++
-				q.mem.CompareAndSwap(th.Core, headLine, head, next, func(rc atomics.Result) {
-					if !rc.OK {
-						q.dequeue(th, done)
-						return
-					}
-					q.dequeues++
-					done()
-				})
-			})
-		})
-	})
+	o := threadCtx(q, &q.ops, th, newQueueOp)
+	o.done = done
+	o.dequeue()
+}
+
+// queueOp is one thread's in-flight enqueue or dequeue.
+type queueOp struct {
+	threadOp
+	q                     *MSQueue
+	id, head, tail, next  uint64
+	enqStoreFn, enqTailFn func(atomics.Result)
+	enqNextFn, enqHelpFn  func(atomics.Result)
+	enqLinkFn, enqSwingFn func(atomics.Result)
+	deqHeadFn, deqTailFn  func(atomics.Result)
+	deqNextFn, deqHelpFn  func(atomics.Result)
+	deqCASFn              func(atomics.Result)
+}
+
+func newQueueOp(q *MSQueue, th *Thread) *queueOp {
+	o := &queueOp{threadOp: threadOp{th: th}, q: q}
+	o.enqStoreFn = o.enqRetry
+	o.enqTailFn = o.enqTail
+	o.enqNextFn = o.enqNext
+	o.enqHelpFn = o.enqRetry
+	o.enqLinkFn = o.enqLink
+	o.enqSwingFn = o.enqSwung
+	o.deqHeadFn = o.deqHead
+	o.deqTailFn = o.deqTail
+	o.deqNextFn = o.deqNext
+	o.deqHelpFn = o.deqRetry
+	o.deqCASFn = o.deqCAS
+	return o
+}
+
+// enqRetry (re)starts linking node o.id after the tail.
+func (o *queueOp) enqRetry(atomics.Result) {
+	o.q.mem.LoadOp(o.th.Core, tailLine, o.enqTailFn)
+}
+
+func (o *queueOp) enqTail(r atomics.Result) {
+	o.tail = r.Old
+	o.q.mem.LoadOp(o.th.Core, o.q.node(o.tail), o.enqNextFn)
+}
+
+func (o *queueOp) enqNext(r atomics.Result) {
+	o.next = r.Old
+	if o.next != 0 {
+		// Tail lags: help swing it, then retry.
+		o.q.mem.CompareAndSwap(o.th.Core, tailLine, o.tail, o.next, o.enqHelpFn)
+		return
+	}
+	o.q.attempts++
+	o.q.mem.CompareAndSwap(o.th.Core, o.q.node(o.tail), 0, o.id, o.enqLinkFn)
+}
+
+func (o *queueOp) enqLink(r atomics.Result) {
+	if !r.OK {
+		o.enqRetry(r)
+		return
+	}
+	// Published; swing the tail (best effort — failure means someone
+	// helped already).
+	o.q.mem.CompareAndSwap(o.th.Core, tailLine, o.tail, o.id, o.enqSwingFn)
+}
+
+func (o *queueOp) enqSwung(atomics.Result) {
+	o.q.enqueues++
+	o.finish()
+}
+
+func (o *queueOp) dequeue() {
+	o.q.mem.LoadOp(o.th.Core, headLine, o.deqHeadFn)
+}
+
+func (o *queueOp) deqRetry(atomics.Result) { o.dequeue() }
+
+func (o *queueOp) deqHead(r atomics.Result) {
+	o.head = r.Old
+	o.q.mem.LoadOp(o.th.Core, tailLine, o.deqTailFn)
+}
+
+func (o *queueOp) deqTail(r atomics.Result) {
+	o.tail = r.Old
+	o.q.mem.LoadOp(o.th.Core, o.q.node(o.head), o.deqNextFn)
+}
+
+func (o *queueOp) deqNext(r atomics.Result) {
+	o.next = r.Old
+	if o.next == 0 {
+		// Empty (only the dummy remains).
+		o.q.empties++
+		o.finish()
+		return
+	}
+	if o.head == o.tail {
+		// Tail lags behind a concurrent enqueue: help.
+		o.q.mem.CompareAndSwap(o.th.Core, tailLine, o.tail, o.next, o.deqHelpFn)
+		return
+	}
+	o.q.attempts++
+	o.q.mem.CompareAndSwap(o.th.Core, headLine, o.head, o.next, o.deqCASFn)
+}
+
+func (o *queueOp) deqCAS(r atomics.Result) {
+	if !r.OK {
+		o.dequeue()
+		return
+	}
+	o.q.dequeues++
+	o.finish()
 }

@@ -122,43 +122,27 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		chk = invariant.Install(eng, mem.System())
 	}
 	cfg.Faults.Install(eng, mem)
-	mThreadOps := reg.Vector(metrics.WorkThreadOps, cfg.Threads)
 
-	end := cfg.Warmup + cfg.Duration
-	measuring := false
-	var ops, totalOps uint64
-	perOps := make([]uint64, cfg.Threads)
-	lat := stats.NewHistogram()
-
-	root := sim.NewRNG(cfg.Seed)
-	var loop func(th *Thread)
-	loop = func(th *Thread) {
-		if eng.Now() >= end {
-			return
-		}
-		start := eng.Now()
-		app.Step(th, func() {
-			totalOps++
-			if measuring && eng.Now() <= end {
-				ops++
-				perOps[th.ID]++
-				mThreadOps.Inc(th.ID)
-				lat.Record(eng.Now() - start)
-			}
-			loop(th)
-		})
+	r := &runner{
+		eng:        eng,
+		app:        app,
+		end:        cfg.Warmup + cfg.Duration,
+		perOps:     make([]uint64, cfg.Threads),
+		lat:        stats.NewHistogram(),
+		mThreadOps: reg.Vector(metrics.WorkThreadOps, cfg.Threads),
 	}
+	root := sim.NewRNG(cfg.Seed)
 	for i := 0; i < cfg.Threads; i++ {
-		th := &Thread{ID: i, Core: cfg.Machine.CoreOf(slots[i]), RNG: root.Split()}
-		eng.Schedule(th.RNG.Duration(10*sim.Nanosecond), func() { loop(th) })
+		t := r.newThread(&Thread{ID: i, Core: cfg.Machine.CoreOf(slots[i]), RNG: root.Split()})
+		eng.Schedule(t.th.RNG.Duration(10*sim.Nanosecond), t.loopFn)
 	}
 	var procAtMeasure uint64
 	eng.At(cfg.Warmup, func() {
-		measuring = true
+		r.measuring = true
 		procAtMeasure = eng.Processed()
 		reg.Reset()
 	})
-	eng.Run(end)
+	eng.Run(r.end)
 
 	if chk != nil {
 		if err := chk.Finalize(); err != nil {
@@ -170,14 +154,14 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	res := &RunResult{
 		App:            app.Name(),
 		Threads:        cfg.Threads,
-		Ops:            ops,
-		PerThreadOps:   perOps,
-		Latency:        lat,
-		ThroughputMops: stats.Throughput(ops, cfg.Duration) / 1e6,
-		Jain:           stats.JainIndex(perOps),
-		MinMax:         stats.MinMaxRatio(perOps),
+		Ops:            r.ops,
+		PerThreadOps:   r.perOps,
+		Latency:        r.lat,
+		ThroughputMops: stats.Throughput(r.ops, cfg.Duration) / 1e6,
+		Jain:           stats.JainIndex(r.perOps),
+		MinMax:         stats.MinMaxRatio(r.perOps),
 		Mem:            mem,
-		TotalOps:       totalOps,
+		TotalOps:       r.totalOps,
 	}
 	// Structure-specific counters ride along when the app exposes them,
 	// so table assembly and the conflict model can consume them from the
@@ -197,4 +181,58 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		res.Metrics = reg.Snapshot()
 	}
 	return res, nil
+}
+
+// runner is one Run's closed loop: every thread issues its next Step as
+// soon as the previous one completes, until the horizon.
+type runner struct {
+	eng        *sim.Engine
+	app        App
+	end        sim.Time
+	measuring  bool
+	ops        uint64
+	totalOps   uint64
+	perOps     []uint64
+	lat        *stats.Histogram
+	mThreadOps *metrics.Vector
+}
+
+// runThread is one thread's loop state. Its loop and done continuations
+// are built once, so issuing and completing a Step allocates nothing.
+type runThread struct {
+	r      *runner
+	th     *Thread
+	start  sim.Time
+	loopFn func()
+	doneFn func()
+}
+
+func (r *runner) newThread(th *Thread) *runThread {
+	t := &runThread{r: r, th: th}
+	t.loopFn = t.loop
+	t.doneFn = t.done
+	return t
+}
+
+// loop issues the thread's next Step unless the run is over.
+func (t *runThread) loop() {
+	r := t.r
+	if r.eng.Now() >= r.end {
+		return
+	}
+	t.start = r.eng.Now()
+	r.app.Step(t.th, t.doneFn)
+}
+
+// done records a completed Step and issues the next one.
+func (t *runThread) done() {
+	r := t.r
+	r.totalOps++
+	if now := r.eng.Now(); r.measuring && now <= r.end {
+		r.ops++
+		r.perOps[t.th.ID]++
+		r.mThreadOps.Inc(t.th.ID)
+		r.lat.Record(now - t.start)
+	}
+	t.loop()
 }

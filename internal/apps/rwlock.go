@@ -59,42 +59,64 @@ func (c *rwCommon) Violations() int { return c.violations }
 // Ops reports completed read and write sections.
 func (c *rwCommon) Ops() (reads, writes uint64) { return c.reads, c.writes }
 
-// criticalRead performs the protected read section then releases.
-func (c *rwCommon) criticalRead(th *Thread, release func(func()), done func()) {
-	c.enterRead()
-	c.mem.LoadOp(th.Core, rwDataLine, func(atomics.Result) {
-		finish := func() {
-			c.exitRead()
-			release(func() {
-				c.reads++
-				done()
-			})
-		}
-		if c.crit > 0 {
-			c.eng.Schedule(c.crit, finish)
-		} else {
-			finish()
-		}
-	})
+// rwOp is the part of an RW-lock thread's op context both locks share:
+// the protected section and its hand-off to the lock's release.
+type rwOp struct {
+	threadOp
+	c       *rwCommon
+	writing bool
+	// release frees the lock for the section in flight (read or write)
+	// and ends with releasedFn; each lock binds its own.
+	release    func()
+	critFn     func(atomics.Result)
+	exitFn     func()
+	releasedFn func(atomics.Result)
 }
 
-// criticalWrite performs the protected update then releases.
-func (c *rwCommon) criticalWrite(th *Thread, release func(func()), done func()) {
-	c.enterWrite()
-	c.mem.FetchAndAdd(th.Core, rwDataLine, 1, func(atomics.Result) {
-		finish := func() {
-			c.exitWrite()
-			release(func() {
-				c.writes++
-				done()
-			})
-		}
-		if c.crit > 0 {
-			c.eng.Schedule(c.crit, finish)
-		} else {
-			finish()
-		}
-	})
+func (o *rwOp) init(c *rwCommon, th *Thread, release func()) {
+	o.th, o.c, o.release = th, c, release
+	o.critFn = o.onCrit
+	o.exitFn = o.exit
+	o.releasedFn = o.released
+}
+
+// enter runs the protected section — a read of the data line, or an
+// update for a writer — then releases.
+func (o *rwOp) enter(writing bool) {
+	o.writing = writing
+	if writing {
+		o.c.enterWrite()
+		o.c.mem.FetchAndAdd(o.th.Core, rwDataLine, 1, o.critFn)
+		return
+	}
+	o.c.enterRead()
+	o.c.mem.LoadOp(o.th.Core, rwDataLine, o.critFn)
+}
+
+func (o *rwOp) onCrit(atomics.Result) {
+	if o.c.crit > 0 {
+		o.c.eng.Schedule(o.c.crit, o.exitFn)
+		return
+	}
+	o.exit()
+}
+
+func (o *rwOp) exit() {
+	if o.writing {
+		o.c.exitWrite()
+	} else {
+		o.c.exitRead()
+	}
+	o.release()
+}
+
+func (o *rwOp) released(atomics.Result) {
+	if o.writing {
+		o.c.writes++
+	} else {
+		o.c.reads++
+	}
+	o.finish()
 }
 
 // CentralRWLock is the textbook single-word reader-writer spinlock:
@@ -104,62 +126,96 @@ func (c *rwCommon) criticalWrite(th *Thread, release func(func()), done func()) 
 // about.
 type CentralRWLock struct {
 	rwCommon
+	ops []*centralOp
 }
 
 // NewCentralRWLock returns the one-line reader-writer lock; readFrac of
 // the Steps are read sections, crit is the section length.
 func NewCentralRWLock(eng *sim.Engine, mem *atomics.Memory, readFrac float64, crit sim.Time) *CentralRWLock {
-	return &CentralRWLock{rwCommon{mem: mem, eng: eng, readFrac: readFrac, crit: crit}}
+	return &CentralRWLock{rwCommon: rwCommon{mem: mem, eng: eng, readFrac: readFrac, crit: crit}}
 }
 
 func (l *CentralRWLock) Name() string { return "rwlock-central" }
 
 func (l *CentralRWLock) Step(th *Thread, done func()) {
+	o := threadCtx(l, &l.ops, th, newCentralOp)
+	o.done = done
 	if th.RNG.Float64() < l.readFrac {
-		l.readAcquire(th, done)
+		o.readAcquire()
 	} else {
-		l.writeAcquire(th, done)
+		o.writeAcquire()
 	}
 }
 
-func (l *CentralRWLock) readAcquire(th *Thread, done func()) {
-	l.mem.LoadOp(th.Core, rwLockLine, func(r atomics.Result) {
-		v := r.Old
-		if v&1 == 1 {
-			l.readAcquire(th, done) // writer active: spin on shared copy
-			return
-		}
-		l.attempts++
-		l.mem.CompareAndSwap(th.Core, rwLockLine, v, v+2, func(rc atomics.Result) {
-			if !rc.OK {
-				l.readAcquire(th, done)
-				return
-			}
-			l.criticalRead(th, func(released func()) {
-				// Release: subtract 2 (add the two's complement).
-				l.mem.FetchAndAdd(th.Core, rwLockLine, ^uint64(1), func(atomics.Result) { released() })
-			}, done)
-		})
-	})
+type centralOp struct {
+	rwOp
+	v           uint64 // lock word a reader observed
+	readLoadFn  func(atomics.Result)
+	readCASFn   func(atomics.Result)
+	writeLoadFn func(atomics.Result)
+	writeCASFn  func(atomics.Result)
 }
 
-func (l *CentralRWLock) writeAcquire(th *Thread, done func()) {
-	l.mem.LoadOp(th.Core, rwLockLine, func(r atomics.Result) {
-		if r.Old != 0 {
-			l.writeAcquire(th, done) // busy: spin
-			return
-		}
-		l.attempts++
-		l.mem.CompareAndSwap(th.Core, rwLockLine, 0, 1, func(rc atomics.Result) {
-			if !rc.OK {
-				l.writeAcquire(th, done)
-				return
-			}
-			l.criticalWrite(th, func(released func()) {
-				l.mem.StoreOp(th.Core, rwLockLine, 0, func(atomics.Result) { released() })
-			}, done)
-		})
-	})
+func newCentralOp(l *CentralRWLock, th *Thread) *centralOp {
+	o := &centralOp{}
+	o.init(&l.rwCommon, th, o.unlock)
+	o.readLoadFn = o.onReadLoad
+	o.readCASFn = o.onReadCAS
+	o.writeLoadFn = o.onWriteLoad
+	o.writeCASFn = o.onWriteCAS
+	return o
+}
+
+func (o *centralOp) readAcquire() {
+	o.c.mem.LoadOp(o.th.Core, rwLockLine, o.readLoadFn)
+}
+
+func (o *centralOp) onReadLoad(r atomics.Result) {
+	o.v = r.Old
+	if o.v&1 == 1 {
+		o.readAcquire() // writer active: spin on shared copy
+		return
+	}
+	o.c.attempts++
+	o.c.mem.CompareAndSwap(o.th.Core, rwLockLine, o.v, o.v+2, o.readCASFn)
+}
+
+func (o *centralOp) onReadCAS(r atomics.Result) {
+	if !r.OK {
+		o.readAcquire()
+		return
+	}
+	o.enter(false)
+}
+
+func (o *centralOp) writeAcquire() {
+	o.c.mem.LoadOp(o.th.Core, rwLockLine, o.writeLoadFn)
+}
+
+func (o *centralOp) onWriteLoad(r atomics.Result) {
+	if r.Old != 0 {
+		o.writeAcquire() // busy: spin
+		return
+	}
+	o.c.attempts++
+	o.c.mem.CompareAndSwap(o.th.Core, rwLockLine, 0, 1, o.writeCASFn)
+}
+
+func (o *centralOp) onWriteCAS(r atomics.Result) {
+	if !r.OK {
+		o.writeAcquire()
+		return
+	}
+	o.enter(true)
+}
+
+func (o *centralOp) unlock() {
+	if o.writing {
+		o.c.mem.StoreOp(o.th.Core, rwLockLine, 0, o.releasedFn)
+		return
+	}
+	// Reader release: subtract 2 (add the two's complement).
+	o.c.mem.FetchAndAdd(o.th.Core, rwLockLine, ^uint64(1), o.releasedFn)
 }
 
 // DistributedRWLock is the big-reader design: each thread announces
@@ -170,12 +226,13 @@ func (l *CentralRWLock) writeAcquire(th *Thread, done func()) {
 type DistributedRWLock struct {
 	rwCommon
 	slots int
+	ops   []*distOp
 }
 
 // NewDistributedRWLock returns the per-reader-slot lock for up to slots
 // reader threads (thread IDs index the slots).
 func NewDistributedRWLock(eng *sim.Engine, mem *atomics.Memory, slots int, readFrac float64, crit sim.Time) *DistributedRWLock {
-	return &DistributedRWLock{rwCommon{mem: mem, eng: eng, readFrac: readFrac, crit: crit}, slots}
+	return &DistributedRWLock{rwCommon: rwCommon{mem: mem, eng: eng, readFrac: readFrac, crit: crit}, slots: slots}
 }
 
 func (l *DistributedRWLock) Name() string { return "rwlock-distributed" }
@@ -185,63 +242,103 @@ func (l *DistributedRWLock) slot(id int) coherence.LineID {
 }
 
 func (l *DistributedRWLock) Step(th *Thread, done func()) {
+	o := threadCtx(l, &l.ops, th, newDistOp)
+	o.done = done
 	if th.RNG.Float64() < l.readFrac {
-		l.readAcquire(th, done)
+		o.readAcquire()
 	} else {
-		l.writeAcquire(th, done)
+		o.writeAcquire()
 	}
 }
 
-func (l *DistributedRWLock) readAcquire(th *Thread, done func()) {
-	l.mem.LoadOp(th.Core, rwFlagLine, func(r atomics.Result) {
-		if r.Old != 0 {
-			l.readAcquire(th, done) // writer present: spin on the flag
-			return
-		}
-		// Announce, then re-check the flag (Dekker-style handshake).
-		l.attempts++
-		l.mem.StoreOp(th.Core, l.slot(th.ID), 1, func(atomics.Result) {
-			l.mem.LoadOp(th.Core, rwFlagLine, func(r2 atomics.Result) {
-				if r2.Old != 0 {
-					// A writer raced in: withdraw and retry.
-					l.mem.StoreOp(th.Core, l.slot(th.ID), 0, func(atomics.Result) {
-						l.readAcquire(th, done)
-					})
-					return
-				}
-				l.criticalRead(th, func(released func()) {
-					l.mem.StoreOp(th.Core, l.slot(th.ID), 0, func(atomics.Result) { released() })
-				}, done)
-			})
-		})
-	})
+type distOp struct {
+	rwOp
+	l           *DistributedRWLock
+	i           int // next reader slot a writer scans
+	flagFn      func(atomics.Result)
+	announcedFn func(atomics.Result)
+	recheckFn   func(atomics.Result)
+	withdrawnFn func(atomics.Result)
+	writeTASFn  func(atomics.Result)
+	scanFn      func(atomics.Result)
 }
 
-func (l *DistributedRWLock) writeAcquire(th *Thread, done func()) {
-	l.attempts++
-	l.mem.TestAndSet(th.Core, rwFlagLine, func(r atomics.Result) {
-		if r.Old != 0 {
-			l.writeAcquire(th, done) // another writer holds the flag
-			return
-		}
-		l.scanSlots(th, 0, done)
-	})
+func newDistOp(l *DistributedRWLock, th *Thread) *distOp {
+	o := &distOp{l: l}
+	o.init(&l.rwCommon, th, o.unlock)
+	o.flagFn = o.onFlag
+	o.announcedFn = o.onAnnounced
+	o.recheckFn = o.onRecheck
+	o.withdrawnFn = o.onWithdrawn
+	o.writeTASFn = o.onWriteTAS
+	o.scanFn = o.onScan
+	return o
 }
 
-// scanSlots waits for every announced reader to drain, then runs the
-// write section.
-func (l *DistributedRWLock) scanSlots(th *Thread, i int, done func()) {
-	if i == l.slots {
-		l.criticalWrite(th, func(released func()) {
-			l.mem.StoreOp(th.Core, rwFlagLine, 0, func(atomics.Result) { released() })
-		}, done)
+func (o *distOp) readAcquire() {
+	o.l.mem.LoadOp(o.th.Core, rwFlagLine, o.flagFn)
+}
+
+func (o *distOp) onFlag(r atomics.Result) {
+	if r.Old != 0 {
+		o.readAcquire() // writer present: spin on the flag
 		return
 	}
-	l.mem.LoadOp(th.Core, l.slot(i), func(r atomics.Result) {
-		if r.Old != 0 {
-			l.scanSlots(th, i, done) // reader still inside: spin on its slot
-			return
-		}
-		l.scanSlots(th, i+1, done)
-	})
+	// Announce, then re-check the flag (Dekker-style handshake).
+	o.l.attempts++
+	o.l.mem.StoreOp(o.th.Core, o.l.slot(o.th.ID), 1, o.announcedFn)
+}
+
+func (o *distOp) onAnnounced(atomics.Result) {
+	o.l.mem.LoadOp(o.th.Core, rwFlagLine, o.recheckFn)
+}
+
+func (o *distOp) onRecheck(r atomics.Result) {
+	if r.Old != 0 {
+		// A writer raced in: withdraw and retry.
+		o.l.mem.StoreOp(o.th.Core, o.l.slot(o.th.ID), 0, o.withdrawnFn)
+		return
+	}
+	o.enter(false)
+}
+
+func (o *distOp) onWithdrawn(atomics.Result) { o.readAcquire() }
+
+func (o *distOp) writeAcquire() {
+	o.l.attempts++
+	o.l.mem.TestAndSet(o.th.Core, rwFlagLine, o.writeTASFn)
+}
+
+func (o *distOp) onWriteTAS(r atomics.Result) {
+	if r.Old != 0 {
+		o.writeAcquire() // another writer holds the flag
+		return
+	}
+	o.i = 0
+	o.scan()
+}
+
+// scan waits for every announced reader to drain, then runs the write
+// section.
+func (o *distOp) scan() {
+	if o.i == o.l.slots {
+		o.enter(true)
+		return
+	}
+	o.l.mem.LoadOp(o.th.Core, o.l.slot(o.i), o.scanFn)
+}
+
+func (o *distOp) onScan(r atomics.Result) {
+	if r.Old == 0 {
+		o.i++ // reader gone (or never there): next slot
+	}
+	o.scan() // a reader still inside keeps us spinning on its slot
+}
+
+func (o *distOp) unlock() {
+	if o.writing {
+		o.l.mem.StoreOp(o.th.Core, rwFlagLine, 0, o.releasedFn)
+		return
+	}
+	o.l.mem.StoreOp(o.th.Core, o.l.slot(o.th.ID), 0, o.releasedFn)
 }

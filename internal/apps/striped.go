@@ -22,6 +22,7 @@ type StripedCounter struct {
 	ReadFraction float64
 	reads        uint64
 	incs         uint64
+	ops          []*stripedOp
 }
 
 // NewStripedCounter returns a counter sharded over the given number of
@@ -53,26 +54,48 @@ func (c *StripedCounter) Value() uint64 {
 }
 
 func (c *StripedCounter) Step(th *Thread, done func()) {
+	o := threadCtx(c, &c.ops, th, newStripedOp)
+	o.done = done
 	if th.RNG.Float64() < c.ReadFraction {
-		c.readAll(th, 0, 0, done)
+		o.i = 0
+		o.read()
 		return
 	}
-	line := c.stripe(th.ID % c.stripes)
-	c.mem.FetchAndAdd(th.Core, line, 1, func(atomics.Result) {
-		c.incs++
-		done()
-	})
+	c.mem.FetchAndAdd(th.Core, c.stripe(th.ID%c.stripes), 1, o.incFn)
 }
 
-// readAll loads every stripe sequentially (a consistent snapshot is not
+type stripedOp struct {
+	threadOp
+	c      *StripedCounter
+	i      int // next stripe a read loads
+	incFn  func(atomics.Result)
+	readFn func(atomics.Result)
+}
+
+func newStripedOp(c *StripedCounter, th *Thread) *stripedOp {
+	o := &stripedOp{threadOp: threadOp{th: th}, c: c}
+	o.incFn = o.incremented
+	o.readFn = o.loaded
+	return o
+}
+
+func (o *stripedOp) incremented(atomics.Result) {
+	o.c.incs++
+	o.finish()
+}
+
+// read loads every stripe sequentially (a consistent snapshot is not
 // promised, matching real striped counters).
-func (c *StripedCounter) readAll(th *Thread, i int, sum uint64, done func()) {
-	if i == c.stripes {
-		c.reads++
-		done()
+func (o *stripedOp) read() {
+	if o.i == o.c.stripes {
+		o.c.reads++
+		o.finish()
 		return
 	}
-	c.mem.LoadOp(th.Core, c.stripe(i), func(r atomics.Result) {
-		c.readAll(th, i+1, sum+r.Old, done)
-	})
+	o.c.mem.LoadOp(o.th.Core, o.c.stripe(o.i), o.readFn)
+}
+
+func (o *stripedOp) loaded(atomics.Result) {
+	o.i++
+	o.read()
 }

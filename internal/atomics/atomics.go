@@ -160,18 +160,31 @@ type Memory struct {
 // deterministic hook the injected retry storm is reproducible.
 func (mem *Memory) SetCASFault(fn func() bool) { mem.casFault = fn }
 
-// opCtx carries one in-flight operation's parameters. Its two closures
-// (the coherence-level apply and the result translation) are built once
-// per context object and read everything through the context pointer,
-// so pooled contexts make the primitive layer allocation-free in steady
-// state.
+// opCtx carries one in-flight operation's parameters. Its callbacks
+// (the coherence-level apply, the result translation, and the stages of
+// fences and store-buffered operations) are built once per context
+// object and read everything through the context pointer, so pooled
+// contexts make the primitive layer allocation-free in steady state.
 type opCtx struct {
 	mem        *Memory
 	p          Primitive
 	arg1, arg2 uint64
 	done       func(Result)
-	applyFn    coherence.Apply
-	doneFn     func(coherence.AccessResult)
+	// core and line address an operation that waits on the store
+	// buffer; start is a fence's issue time.
+	core    int
+	line    coherence.LineID
+	start   sim.Time
+	applyFn coherence.Apply
+	doneFn  func(coherence.AccessResult)
+	// issueFn issues a locked RMW once the store buffer has drained.
+	issueFn func()
+	// drainedFn and fencedFn are a fence's two stages: the store buffer
+	// is empty, then the fence's own execution occupancy has elapsed.
+	drainedFn func()
+	fencedFn  func()
+	// retiredFn completes a buffered store at its local retire time.
+	retiredFn func()
 }
 
 // apply implements the primitive's read-modify-write semantics at the
@@ -199,11 +212,31 @@ func (c *opCtx) apply(cur uint64) (uint64, bool) {
 // complete translates the coherence result, recycles the context, and
 // invokes the caller's callback.
 func (c *opCtx) complete(r coherence.AccessResult) {
-	mem, p, done := c.mem, c.p, c.done
-	c.done = nil
-	mem.ctxPool = append(mem.ctxPool, c)
+	p, done := c.p, c.recycle()
 	if done != nil {
 		done(Result{Latency: r.Latency, Old: r.Value, OK: r.Wrote || !p.IsRMW(), Access: r})
+	}
+}
+
+// recycle returns the context to the pool and hands back the caller's
+// callback, which the context no longer holds.
+func (c *opCtx) recycle() func(Result) {
+	done := c.done
+	c.done = nil
+	c.mem.ctxPool = append(c.mem.ctxPool, c)
+	return done
+}
+
+func (c *opCtx) issue() { c.mem.issueRMW(c.core, c.line, c) }
+
+func (c *opCtx) drained() {
+	c.mem.sys.Engine().Schedule(ExecCost(c.mem.m, Fence), c.fencedFn)
+}
+
+func (c *opCtx) fenced() {
+	eng, start := c.mem.sys.Engine(), c.start
+	if done := c.recycle(); done != nil {
+		done(Result{Latency: eng.Now() - start, OK: true})
 	}
 }
 
@@ -216,6 +249,10 @@ func (mem *Memory) getCtx(p Primitive, arg1, arg2 uint64, done func(Result)) *op
 		c = &opCtx{mem: mem}
 		c.applyFn = c.apply
 		c.doneFn = c.complete
+		c.issueFn = c.issue
+		c.drainedFn = c.drained
+		c.fencedFn = c.fenced
+		c.retiredFn = c.retired
 		mem.allCtxs = append(mem.allCtxs, c)
 	}
 	c.p, c.arg1, c.arg2, c.done = p, arg1, arg2, done
@@ -262,11 +299,10 @@ func (mem *Memory) rmw(core int, line coherence.LineID, c *opCtx) {
 		// The lock prefix implies a full fence: drain pending stores
 		// first. (Latency reported covers the RFO only; the drain wait
 		// shows up as elapsed simulated time.)
-		mem.waitDrained(core, func() { mem.issueRMW(core, line, c) })
+		c.core, c.line = core, line
+		mem.waitDrained(core, c.issueFn)
 		return
 	}
-	// Issue directly — keeping this path free of the drain closure saves
-	// an allocation on every operation of every buffer-less run.
 	mem.issueRMW(core, line, c)
 }
 
@@ -315,26 +351,22 @@ func (mem *Memory) LoadOp(core int, line coherence.LineID, done func(Result)) {
 // store retires locally in about a cycle and drains asynchronously;
 // otherwise it is a synchronous RFO.
 func (mem *Memory) StoreOp(core int, line coherence.LineID, v uint64, done func(Result)) {
+	c := mem.getCtx(Store, v, 0, done)
 	if mem.bufDepth > 0 {
-		mem.bufferedStore(core, line, v, done)
+		c.core, c.line = core, line
+		mem.bufferedStore(c)
 		return
 	}
-	mem.rmw(core, line, mem.getCtx(Store, v, 0, done))
+	mem.rmw(core, line, c)
 }
 
 // FenceOp drains the issuing core's pipeline and, when store buffering
 // is enabled, its store buffer; there is no coherence transaction of
 // its own (the drained stores carry their own).
 func (mem *Memory) FenceOp(core int, done func(Result)) {
-	start := mem.sys.Engine().Now()
-	mem.waitDrained(core, func() {
-		d := ExecCost(mem.m, Fence)
-		mem.sys.Engine().Schedule(d, func() {
-			if done != nil {
-				done(Result{Latency: mem.sys.Engine().Now() - start, OK: true})
-			}
-		})
-	})
+	c := mem.getCtx(Fence, 0, 0, done)
+	c.start = mem.sys.Engine().Now()
+	mem.waitDrained(core, c.drainedFn)
 }
 
 // Do dispatches a primitive generically: CAS uses (arg1=old, arg2=new),

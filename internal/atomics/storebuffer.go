@@ -27,14 +27,22 @@ type pendingStore struct {
 	val  uint64
 }
 
-// storeBuf is one core's store buffer.
+// storeBuf is one core's store buffer. Its drain callbacks are built
+// once, and its queues are reused in place, so buffered stores and the
+// fences waiting on them allocate nothing in steady state.
 type storeBuf struct {
+	mem      *Memory
+	core     int
 	q        []pendingStore
 	draining bool
-	// drainWaiters run when the buffer empties (fences, atomics).
+	// drainWaiters run when the buffer empties (fences, atomics);
+	// spare is the other half of their double buffer.
 	drainWaiters []func()
-	// spaceWaiters run when an entry frees (stalled stores).
-	spaceWaiters []func()
+	spare        []func()
+	// spaceWaiters are stalled stores, resumed in order as entries free.
+	spaceWaiters []*opCtx
+	applyFn      coherence.Apply
+	doneFn       func(coherence.AccessResult)
 }
 
 func (mem *Memory) buf(core int) *storeBuf {
@@ -43,61 +51,69 @@ func (mem *Memory) buf(core int) *storeBuf {
 	}
 	b, ok := mem.bufs[core]
 	if !ok {
-		b = &storeBuf{}
+		b = &storeBuf{mem: mem, core: core}
+		b.applyFn = b.apply
+		b.doneFn = b.drained
 		mem.bufs[core] = b
 	}
 	return b
 }
 
-// bufferedStore retires the store locally and queues the drain.
-func (mem *Memory) bufferedStore(core int, line coherence.LineID, v uint64, done func(Result)) {
-	b := mem.buf(core)
+// bufferedStore retires the store c (core, line, arg1) locally and
+// queues the drain.
+func (mem *Memory) bufferedStore(c *opCtx) {
+	b := mem.buf(c.core)
 	if len(b.q) >= mem.bufDepth {
 		// Buffer full: the store stalls until a drain completes.
-		b.spaceWaiters = append(b.spaceWaiters, func() {
-			mem.bufferedStore(core, line, v, done)
-		})
+		b.spaceWaiters = append(b.spaceWaiters, c)
 		return
 	}
-	b.q = append(b.q, pendingStore{line: line, val: v})
-	retire := mem.m.Lat.L1Hit // address generation + buffer write
-	mem.sys.Engine().Schedule(retire, func() {
-		if done != nil {
-			// The overwritten value is unknown at retire time; buffered
-			// stores report Old = 0 by construction.
-			done(Result{Latency: retire, OK: true})
-		}
-	})
+	b.q = append(b.q, pendingStore{line: c.line, val: c.arg1})
+	// Address generation + buffer write.
+	mem.sys.Engine().Schedule(mem.m.Lat.L1Hit, c.retiredFn)
 	if !b.draining {
 		b.draining = true
-		mem.drain(core)
+		b.drain()
+	}
+}
+
+// retired completes a buffered store. The overwritten value is unknown
+// at retire time; buffered stores report Old = 0 by construction.
+func (c *opCtx) retired() {
+	retire := c.mem.m.Lat.L1Hit
+	if done := c.recycle(); done != nil {
+		done(Result{Latency: retire, OK: true})
 	}
 }
 
 // drain writes the buffer head to the coherence system, then continues.
-func (mem *Memory) drain(core int) {
-	b := mem.buf(core)
+func (b *storeBuf) drain() {
 	if len(b.q) == 0 {
 		b.draining = false
 		waiters := b.drainWaiters
-		b.drainWaiters = nil
+		b.drainWaiters = b.spare[:0]
 		for _, w := range waiters {
 			w()
 		}
+		clear(waiters)
+		b.spare = waiters[:0]
 		return
 	}
-	head := b.q[0]
-	mem.sys.Access(core, head.line, coherence.RFO, mem.m.Lat.ExecStore,
-		func(cur uint64) (uint64, bool) { return head.val, true },
-		func(coherence.AccessResult) {
-			b.q = b.q[1:]
-			if len(b.spaceWaiters) > 0 {
-				w := b.spaceWaiters[0]
-				b.spaceWaiters = b.spaceWaiters[1:]
-				w()
-			}
-			mem.drain(core)
-		})
+	b.mem.sys.Access(b.core, b.q[0].line, coherence.RFO, b.mem.m.Lat.ExecStore, b.applyFn, b.doneFn)
+}
+
+// apply writes the head store's value; the head leaves the queue only
+// when its access completes.
+func (b *storeBuf) apply(uint64) (uint64, bool) { return b.q[0].val, true }
+
+func (b *storeBuf) drained(coherence.AccessResult) {
+	b.q = b.q[:copy(b.q, b.q[1:])]
+	if len(b.spaceWaiters) > 0 {
+		c := b.spaceWaiters[0]
+		b.spaceWaiters = b.spaceWaiters[:copy(b.spaceWaiters, b.spaceWaiters[1:])]
+		b.mem.bufferedStore(c)
+	}
+	b.drain()
 }
 
 // waitDrained runs fn once the core's store buffer is empty (fences and

@@ -114,3 +114,38 @@ func TestUnbufferedSemanticsUnchanged(t *testing.T) {
 		t.Fatal("phantom pending stores")
 	}
 }
+
+// TestFenceOpDoesNotAllocate extends the zero-alloc contract (see
+// TestBigAtomicDoesNotAllocate) to fences and the store buffer. With
+// buffering off a fence only waits out its own occupancy; with it on,
+// each round's fence is issued behind buffered stores, so it queues as
+// a drain waiter, and the stores overflow a one-entry buffer (stalls)
+// and hold up a locked RMW, which waits for the drain as well.
+func TestFenceOpDoesNotAllocate(t *testing.T) {
+	for _, depth := range []int{0, 1, 4} {
+		eng, mem := bufMemory(t, depth)
+		fences, pendingAtFence := 0, 0
+		onFence := func(Result) {
+			fences++
+			pendingAtFence += mem.PendingStores(0)
+		}
+		round := func() {
+			for i := 0; i < 3; i++ {
+				mem.StoreOp(0, coherence.LineID(100+i), uint64(i), nil)
+			}
+			mem.FenceOp(0, onFence)
+			mem.FetchAndAdd(0, 200, 1, nil)
+			eng.Drain()
+		}
+		round() // warm the context pool and the buffer's queues
+		if avg := testing.AllocsPerRun(200, round); avg != 0 {
+			t.Fatalf("depth=%d: fence round allocates %.1f allocs/op, want 0", depth, avg)
+		}
+		if fences != 202 {
+			t.Fatalf("depth=%d: %d fences completed, want 202", depth, fences)
+		}
+		if pendingAtFence != 0 {
+			t.Fatalf("depth=%d: fences completed with %d stores still buffered", depth, pendingAtFence)
+		}
+	}
+}

@@ -10,9 +10,8 @@ type coreSet struct {
 	words []uint64
 }
 
-func newCoreSet(n int) coreSet {
-	return coreSet{words: make([]uint64, (n+63)/64)}
-}
+// coreSetWords is the number of words a set over n cores needs.
+func coreSetWords(n int) int { return (n + 63) / 64 }
 
 func (s coreSet) has(i int) bool {
 	return s.words[i/64]&(1<<(uint(i)%64)) != 0

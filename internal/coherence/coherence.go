@@ -361,6 +361,13 @@ type System struct {
 	reqPool  []*request
 	allReqs  []*request
 	lineFree []*lineState
+	// lineSlab, wordSlab and queueSlab back directory entries for lines
+	// seen for the first time (see newLine), so a structure that keeps
+	// touching fresh lines (a stack pushing new nodes) allocates once
+	// per lineSlabSize lines rather than three times per line.
+	lineSlab  []lineState
+	wordSlab  []uint64
+	queueSlab []*request
 	// lastLine is a one-entry lookup cache in front of the lines map;
 	// workloads hammer one line (or a handful), so most accesses skip
 	// the map entirely.
@@ -623,16 +630,40 @@ func (s *System) line(id LineID) *lineState {
 			l.id = id
 			l.home = int(uint64(id) % uint64(s.tn))
 		} else {
-			l = &lineState{
-				id:      id,
-				home:    int(uint64(id) % uint64(s.tn)),
-				owner:   -1,
-				sharers: newCoreSet(s.p.NumCores),
-			}
+			l = s.newLine()
+			l.id = id
+			l.home = int(uint64(id) % uint64(s.tn))
 		}
 		s.lines[id] = l
 	}
 	s.lastLine = l
+	return l
+}
+
+// lineSlabSize is how many directory entries newLine carves from one
+// allocation; lineQueueCap is each entry's initial request-queue
+// capacity (a busy line's queue grows past it by append).
+const (
+	lineSlabSize = 64
+	lineQueueCap = 4
+)
+
+// newLine returns a never-touched directory entry carved from the
+// current slab, refilling the slabs when they run out.
+func (s *System) newLine() *lineState {
+	words := coreSetWords(s.p.NumCores)
+	if len(s.lineSlab) == 0 {
+		s.lineSlab = make([]lineState, lineSlabSize)
+		s.wordSlab = make([]uint64, lineSlabSize*words)
+		s.queueSlab = make([]*request, lineSlabSize*lineQueueCap)
+	}
+	l := &s.lineSlab[0]
+	s.lineSlab = s.lineSlab[1:]
+	l.owner = -1
+	l.sharers = coreSet{words: s.wordSlab[:words:words]}
+	s.wordSlab = s.wordSlab[words:]
+	l.queue = s.queueSlab[:0:lineQueueCap]
+	s.queueSlab = s.queueSlab[lineQueueCap:]
 	return l
 }
 

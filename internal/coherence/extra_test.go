@@ -24,7 +24,7 @@ func TestArbiterNames(t *testing.T) {
 }
 
 func TestCoreSetOperations(t *testing.T) {
-	s := newCoreSet(130) // multiple words
+	s := coreSet{words: make([]uint64, coreSetWords(130))} // multiple words
 	for _, i := range []int{0, 63, 64, 129} {
 		if s.has(i) {
 			t.Fatalf("fresh set has %d", i)

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"atomicsmodel/internal/apps"
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/sim"
@@ -44,5 +45,38 @@ func benchFullCell(b *testing.B, withMetrics bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAppCell measures one quick app cell per structure family the
+// fleet sweeps lean on: the ticket lock (the costliest per simulated
+// op: every waiter re-reads the serving line) and the work-stealing
+// deque (the most ops per cell), 16 threads on the Xeon. Each op is a
+// whole apps.Run; its allocations are the cell's setup alone, since
+// issuing and completing Steps allocates nothing.
+func BenchmarkAppCell(b *testing.B) {
+	m := machine.XeonE5()
+	for _, name := range []string{"ticket-lock", "ws-deque"} {
+		b.Run(name, func(b *testing.B) {
+			spec, err := apps.SpecByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sp := *spec
+			sp.ThreadLadder, sp.Threads = nil, 16
+			o := Options{Quick: true}
+			sp.WarmupPS, sp.DurationPS, sp.Seed = o.warmup(), o.duration(), 42
+			cfg, err := sp.RunConfig(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := apps.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -15,7 +15,8 @@
 # (-fleet cross-architecture run with bottleneck verdicts, resumed
 # byte-identically from the digest-keyed cache), an atomicd job-server
 # smoke (submit → poll → dedup → SIGTERM drain), a bench smoke
-# enforcing the simulation path's allocation budget, and short
+# enforcing the simulation path's allocation budgets (coherence access,
+# workload cell, app cell), and short
 # native-fuzz passes over the run-log parsers, topology hop
 # computation, the machine and workload spec loaders, and the sharded
 # event-queue merge. Run from the repo root.
@@ -311,6 +312,17 @@ go test -run XXX -bench 'BenchmarkFullCell$' -benchtime 100x -benchmem \
     ./internal/harness | tee "$dir/bench_cell.txt"
 awk '/BenchmarkFullCell/ { if ($(NF-1) + 0 > 20) exit 1 }' "$dir/bench_cell.txt" || {
     echo "full-cell allocations regressed (allocs/op > 20 at 100 iterations)" >&2
+    exit 1
+}
+# An app cell's allocations are its setup (engine, memory, router,
+# per-thread contexts: a few hundred objects); issuing and completing
+# simulated ops allocates nothing, so a per-op closure anywhere on the
+# path (hundreds of thousands of ops per cell) blows the budget.
+go test -run XXX -bench 'BenchmarkAppCell' -benchtime 5x -benchmem \
+    ./internal/harness | tee "$dir/bench_app.txt"
+awk '/^BenchmarkAppCell\// { n++; if ($(NF-1) + 0 > 1000) exit 1 } END { if (n != 2) exit 1 }' \
+    "$dir/bench_app.txt" || {
+    echo "app-cell allocations regressed (allocs/op > 1000, or a cell is missing)" >&2
     exit 1
 }
 
