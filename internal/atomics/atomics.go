@@ -291,6 +291,21 @@ func (mem *Memory) Reset() {
 	}
 }
 
+// ShiftInFlight translates every in-flight operation's issue time by
+// delta, on behalf of the fast-forward layer that has just moved the
+// pending events delta later (sim.Engine.ShiftPending): the coherence
+// requests' issue stamps (coherence.System.ShiftInFlight) and the
+// fences' start times, from which a fence's latency is taken at
+// completion. Without the latter a fence straddling the jump would
+// absorb the elided span. Pooled idle contexts are shifted too —
+// harmless, since start is overwritten at issue.
+func (mem *Memory) ShiftInFlight(delta sim.Time) {
+	mem.sys.ShiftInFlight(delta)
+	for _, c := range mem.allCtxs {
+		c.start += delta
+	}
+}
+
 // Machine returns the machine description this memory simulates.
 func (mem *Memory) Machine() *machine.Machine { return mem.m }
 

@@ -1237,6 +1237,19 @@ func (s *System) AppendCycleKey(dst []byte, id LineID) []byte {
 	return dst
 }
 
+// LineIdle reports whether line id has no service in flight and no
+// request queued — true for a line never touched. The contention-free
+// fast-forward (internal/workload) waits for it before fingerprinting:
+// until the opening convoy of misses drains through the line, some
+// thread's op is parked in its queue rather than pending as an event.
+func (s *System) LineIdle(id LineID) bool {
+	l := s.lastLine
+	if l == nil || l.id != id {
+		l = s.lines[id]
+	}
+	return l == nil || (!l.busy && l.qlen() == 0)
+}
+
 func appendUint64(dst []byte, v uint64) []byte {
 	return append(dst,
 		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),

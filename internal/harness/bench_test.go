@@ -48,6 +48,30 @@ func benchFullCell(b *testing.B, withMetrics bool) {
 	}
 }
 
+// BenchmarkLoadCell measures the quick 16-thread high-contention Load
+// cell on the Xeon — the long pole of F2 and F3. Every op is an L1 hit
+// on the reader's own shared copy, so the cell is contention-free and
+// the fast-forward elides nearly its whole measured window.
+func BenchmarkLoadCell(b *testing.B) {
+	m := machine.XeonE5()
+	o := Options{Quick: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *workload.Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		res, err = workload.RunReusing(workload.Config{
+			Machine: m, Threads: 16, Primitive: atomics.Load,
+			Mode:   workload.HighContention,
+			Warmup: o.warmup(), Duration: o.duration(),
+			Seed: 1,
+		}, res)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAppCell measures one quick app cell per structure family the
 // fleet sweeps lean on: the ticket lock (the costliest per simulated
 // op: every waiter re-reads the serving line) and the work-stealing

@@ -142,7 +142,10 @@ func replayJournal(path string) ([]*RecoveredJob, []runlog.Quarantine, error) {
 			}
 			if j, ok := byID[rec.ID]; ok {
 				// Resubmission after a terminal state: the job is
-				// pending again.
+				// pending again, under the resubmitted spec (it may
+				// differ in knobs outside the job's identity, such as
+				// the deadline).
+				j.Spec, j.Raw = spec, rec.Spec
 				j.State, j.ResultDigest, j.Error = StateQueued, "", ""
 				continue
 			}

@@ -85,8 +85,9 @@ func TestJournalRoundTrip(t *testing.T) {
 func TestJournalResubmitAfterTerminal(t *testing.T) {
 	dir := t.TempDir()
 	j, _, _ := openForTest(t, dir)
+	first := specRaw(t, `{"workloads":["high-faa"],"deadlineMS":1}`)
 	raw := specRaw(t, `{"workloads":["high-faa"]}`)
-	j.Submit("jX", raw)
+	j.Submit("jX", first)
 	j.Failed("jX", "boom")
 	j.Submit("jX", raw) // resubmission: the job is pending again
 	j.Close()
@@ -94,6 +95,11 @@ func TestJournalResubmitAfterTerminal(t *testing.T) {
 	_, jobs, _ := openForTest(t, dir)
 	if len(jobs) != 1 || jobs[0].State != StateQueued || jobs[0].Error != "" {
 		t.Fatalf("resubmitted job = %+v, want one pending job with no error", jobs[0])
+	}
+	// The restart replays the resubmitted spec, not the failed one's
+	// deadline.
+	if string(jobs[0].Raw) != string(raw) || jobs[0].Spec.DeadlineMS != 0 {
+		t.Fatalf("recovered spec %s, want the resubmission's %s", jobs[0].Raw, raw)
 	}
 }
 

@@ -258,11 +258,13 @@ func (j *job) finish(s State, digest, errMsg string) {
 	close(j.done)
 }
 
-// rearm resets a failed job for resubmission.
-func (j *job) rearm(client string) {
+// rearm resets a failed job for resubmission under the resubmitting
+// request's spec and canonical body (same ID: they differ at most in
+// fields outside the job's identity).
+func (j *job) rearm(client string, spec *Spec, raw json.RawMessage) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.client = client
+	j.client, j.spec, j.raw = client, spec, raw
 	j.state, j.errMsg, j.resultDigest = StateQueued, "", ""
 	j.attempt, j.cellsDone, j.cellsTotal = 0, 0, 0
 	j.done = make(chan struct{})
@@ -449,15 +451,18 @@ func (s *Server) Submit(client string, body []byte) (*job, bool, error) {
 			return j, false, nil
 		}
 		// Resubmission of a failed job: re-run it, subject to the same
-		// admission control as a fresh submit.
+		// admission control as a fresh submit. The new request's spec
+		// governs the re-run: knobs outside the job's identity (the
+		// deadline) may differ from the failed submission's, and the
+		// journal records the new body so a restart replays it.
 		if err := s.admitLocked(client); err != nil {
 			return nil, false, err
 		}
-		if err := s.journal.Submit(id, j.raw); err != nil {
+		if err := s.journal.Submit(id, raw); err != nil {
 			s.unadmitLocked(client)
 			return nil, false, fmt.Errorf("jobs: journaling resubmit: %w", err)
 		}
-		j.rearm(client)
+		j.rearm(client, spec, raw)
 		s.jobWG.Add(1)
 		s.queue <- j
 		return j, true, nil

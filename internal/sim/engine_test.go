@@ -313,3 +313,44 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	}
 	e.Drain()
 }
+
+// TestRNGAdvanceMatchesSequentialDraws is the property the fast-forward
+// layer's stream skipping rests on: for any seed and counts n and k,
+// advancing by k times the position delta of n draws lands exactly
+// where k·n sequential draws would, mixed draw kinds included (each
+// consumes one position).
+func TestRNGAdvanceMatchesSequentialDraws(t *testing.T) {
+	prop := func(seed uint64, n16 uint16, k8 uint8) bool {
+		n, k := int(n16%512), uint64(k8%64)
+		probe := NewRNG(seed)
+		before := probe.Pos()
+		for i := 0; i < n; i++ {
+			switch i % 3 {
+			case 0:
+				probe.Uint64()
+			case 1:
+				probe.Float64()
+			default:
+				probe.Exp(Nanosecond)
+			}
+		}
+		delta := probe.Pos() - before
+		if delta != uint64(n) {
+			return false
+		}
+		skipped, walked := NewRNG(seed), NewRNG(seed)
+		skipped.Advance(k * delta)
+		for i := uint64(0); i < k*uint64(n); i++ {
+			walked.Uint64()
+		}
+		for i := 0; i < 10; i++ {
+			if skipped.Uint64() != walked.Uint64() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -10,13 +10,21 @@ type RNG struct {
 	state uint64
 }
 
+// rngGamma is splitmix64's per-draw state increment; rngGammaInv is its
+// inverse modulo 2^64 (gamma is odd), which turns a state back into a
+// stream position.
+const (
+	rngGamma    = 0x9e3779b97f4a7c15
+	rngGammaInv = 0xf1de83e19937733d
+)
+
 // NewRNG returns a generator seeded with seed. Distinct seeds produce
 // independent-looking streams; seed 0 is valid.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += rngGamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -71,3 +79,14 @@ func (r *RNG) Reseed(seed uint64) { r.state = seed }
 // SplitInto reseeds dst from r's stream, the allocation-free equivalent
 // of dst = r.Split().
 func (r *RNG) SplitInto(dst *RNG) { dst.state = r.Uint64() }
+
+// Pos reports r's position in its stream, in draws. Only differences
+// are meaningful: every Uint64 call (and so every Intn, Float64,
+// Duration or Exp draw) advances Pos by exactly one.
+func (r *RNG) Pos() uint64 { return r.state * rngGammaInv }
+
+// Advance skips n draws in O(1), leaving r exactly where n sequential
+// Uint64 calls would: splitmix64 adds a constant per draw, so skipping
+// is one multiply-add. The fast-forward layer uses it to move a
+// thread's stream across elided cycles.
+func (r *RNG) Advance(n uint64) { r.state += n * rngGamma }

@@ -1,53 +1,73 @@
 // Steady-state cycle memoizer: the workload-level half of the analytic
-// fast-forward layer (the engine half is sim.ShiftHead/JumpClock).
+// fast-forward layer (the engine half is sim.ShiftHead/ShiftPending/
+// JumpClock, plus sim.RNG.Advance for the threads' streams).
 //
-// A closed-loop high-contention cell settles into an exactly periodic
-// schedule: with one shared line, no think time, and a FIFO arbiter,
-// the same rotation of threads is granted in the same order with the
-// same service intervals forever — the simulation spends its whole
-// measured window re-deriving a cycle it has already computed. The
-// memoizer detects that cycle and skips it analytically:
+// A closed-loop cell on one shared line settles into an exactly
+// periodic schedule, in one of two ways (the memoizer's modes):
 //
-//  1. Fingerprint the cell state between events (the directory entry,
-//     the queue window in grant order, and the time to the pending
-//     completion — everything the access path can read, minus the
-//     monotone counters that provably do not feed back).
+//   - Grant rotation (ffGrant). With no think time and a FIFO arbiter,
+//     a value-independent RMW (FAA, SWAP, TAS, Store) grants the same
+//     rotation of threads in the same order with the same service
+//     intervals forever.
+//   - Contention-free (ffFree). Loads that every core serves from its
+//     own shared copy, and fences that never reach the line, never
+//     change the line's directory state: every thread cycles on its own
+//     fixed service time, independently of the others.
+//
+// Either way the simulation spends its whole measured window
+// re-deriving a cycle it has already computed. The memoizer detects
+// that cycle and skips it analytically:
+//
+//  1. Fingerprint the cell state between events: the line's directory
+//     entry and queue window in grant order, plus — in grant mode —
+//     the time to the pending completion, or — in contention-free
+//     mode — every thread's in-flight issue offset (now − issuedAt).
+//     That is everything the access path can read, minus the monotone
+//     counters that provably do not feed back.
 //  2. When the fingerprint recurs, one cycle has been recorded: its
-//     event count, duration, counter deltas, and trace-event sequence.
+//     event count, duration, counter deltas, per-thread RNG draws, and
+//     trace-event sequence.
 //  3. Record a second cycle and require it to match the first exactly
-//     (events compared field-by-field, counters delta-by-delta). Two
-//     independent matches plus the state fingerprint rule out
-//     coincidental recurrence.
+//     (events compared field-by-field, counters and draws
+//     delta-by-delta). Two independent matches plus the state
+//     fingerprint rule out coincidental recurrence.
 //  4. Jump: multiply the integer counter deltas by the number of
 //     whole cycles remaining, replay the cycle's energy additions in
 //     order (float addition is non-associative, so scaling would
 //     diverge from the simulated sum; replaying the identical addition
-//     sequence cannot), shift the pending completion, and jump the
-//     clock. The final partial cycle plays out live, so boundary
-//     behavior is identical to the unskipped run.
+//     sequence cannot), advance each thread's RNG stream by its
+//     scaled draw count, shift the pending completions and in-flight
+//     issue times, and jump the clock. The final partial cycle plays
+//     out live, so boundary behavior is identical to the unskipped run.
 //
-// An eligible run gets two passes. The pre-warmup pass arms as soon as
+// A grant-mode run gets two passes. The pre-warmup pass arms as soon as
 // the startup convoy resolves (the first access's cold fill makes the
 // opening rotations aperiodic, so the first fingerprint may need to be
 // retaken) and jumps up to just short of the warmup boundary; the
-// warmup marker event stays pending throughout, which is why the jump
+// warmup marker event stays pending throughout, which is why that jump
 // translates only the queue head (sim.ShiftHead) rather than every
-// pending event. The post-warmup pass re-arms at the warmup boundary
-// and jumps toward the end of the measured window. Both passes apply
-// the identical set of counter/energy effects, so the state at every
-// boundary matches the unskipped run bit-for-bit.
+// pending event. The measured-window pass re-arms at the warmup
+// boundary and jumps toward the end of the window; the marker is gone
+// by then, so every pending event belongs to the periodic schedule and
+// moves with it (sim.ShiftPending). Both passes apply the identical
+// set of counter/energy effects, so the state at every boundary matches
+// the unskipped run bit-for-bit. A contention-free run has one pending
+// completion per thread, so only the measured-window pass can shift
+// them all; it runs that pass alone.
 //
-// Eligibility is conservative: any knob that makes an operation's
-// behavior value-dependent (CAS), draws randomness per operation
-// (jittered think time, read/write mix), or needs per-event visibility
-// (metrics, invariant checking, fault plans, stateful arbiters, store
-// buffering, finite bandwidth) disables the memoizer for that run. An
-// ineligible or aperiodic cell runs every event as before; the
-// differential harness test proves byte-identical results either way.
+// Eligibility is conservative (see memoEligible): anything that makes
+// an operation's behavior value-dependent (CAS), draws randomness that
+// feeds back (jittered think time, a read/write mix that can draw an
+// RMW), or needs per-event visibility (metrics, invariant checking,
+// fault plans, stateful arbiters, store buffering, finite bandwidth)
+// disables the memoizer for that run. An ineligible or aperiodic cell
+// runs every event as before; the differential tests prove
+// byte-identical results either way.
 package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
@@ -68,6 +88,18 @@ func SetFastForward(on bool) { fastForwardOn = on }
 
 // FastForwardEnabled reports the current gate, for tests.
 func FastForwardEnabled() bool { return fastForwardOn }
+
+// Memoizer modes: memoEligible's verdict for a run.
+const (
+	ffOff   = iota // ineligible: every event is simulated
+	ffGrant        // FIFO grant rotation of a value-independent RMW
+	ffFree         // contention-free: no op changes the line's state
+)
+
+// jumpHook, when set, is called with the mode and the number of elided
+// cycles each time a jump engages. Tests use it to prove the memoizer
+// engaged on the cells it should; it is nil otherwise.
+var jumpHook func(mode int, cycles uint64)
 
 // Memoizer phases. The probe runs between events (engine idle hook) and
 // walks: off → capture (fingerprint at an event boundary once the
@@ -92,10 +124,11 @@ const maxCaptureAttempts = 4
 type memoState struct {
 	phase int
 	// Pass parameters (memoArm): the expected steady pending-event
-	// count (2 pre-warmup — completion plus warmup marker — and 1
-	// after), probes to skip before the first capture, re-capture
-	// budget, the cycle-search event bound, and the time the jump must
-	// stay short of.
+	// count (in grant mode 2 pre-warmup — completion plus warmup
+	// marker — and 1 after; one per thread in contention-free mode),
+	// probes to skip before the first capture, re-capture budget, the
+	// cycle-search event bound, and the time the jump must stay short
+	// of.
 	want      int
 	skip      int
 	attempts  int
@@ -111,6 +144,7 @@ type memoState struct {
 	opsB, attB  uint64
 	failB       uint64
 	perOpsB     []uint64
+	rngB        []uint64 // per-thread RNG stream positions
 	cohB        coherence.Stats
 	latB, slatB *stats.Histogram
 
@@ -119,35 +153,52 @@ type memoState struct {
 	dur               sim.Time
 	dOps, dAtt, dFail uint64
 	dPerOps           []uint64
+	dRNG              []uint64
 	dCoh              coherence.Stats
 	evsA, evsB        []coherence.TraceEvent
 	njs               []float64 // per-event energy charges, for Replay
 }
 
-// memoEligible reports whether cfg's steady state can be memoized: the
-// schedule must be a closed loop on one shared line with no per-op
-// randomness, a value-independent primitive, a stateless FIFO grant
-// order, and no observer that needs per-event visibility.
-func memoEligible(cfg *Config) bool {
-	if cfg.Mode != HighContention || cfg.Lines != 1 || cfg.LocalWork != 0 ||
-		cfg.OpenLoop || cfg.Metrics || cfg.Check || cfg.Faults != nil {
-		return false
-	}
-	switch cfg.Primitive {
-	case atomics.FAA, atomics.SWAP, atomics.TAS, atomics.Store:
-	default:
-		// CAS control flow depends on the line value, which the
-		// fingerprint deliberately excludes; Load does not serialize;
-		// Fence never reaches the line.
-		return false
+// memoEligible returns the memoizer mode cfg's steady state admits.
+// Both modes need a closed loop on one shared line with no think time,
+// a stateless FIFO grant order, no state that spills across cycles
+// (store buffering, finite link bandwidth), and no observer that needs
+// per-event visibility (metrics, invariant checking, fault plans).
+//
+//   - ffGrant: FAA, SWAP, TAS and Store in high contention. The
+//     fingerprint leaves out the line value, which these primitives
+//     never branch on; CAS control flow does, so CAS stays ineligible.
+//   - ffFree: Load and Fence in high contention, and read/write mixes
+//     with ReadFraction 1, whose per-op draw always yields a load — the
+//     draw advances the thread's stream but its outcome never feeds
+//     back. A fraction below 1 can draw an RMW, which is aperiodic.
+func memoEligible(cfg *Config) int {
+	if cfg.Lines != 1 || cfg.LocalWork != 0 || cfg.OpenLoop ||
+		cfg.Metrics || cfg.Check || cfg.Faults != nil {
+		return ffOff
 	}
 	switch cfg.Arbiter.(type) {
 	case nil, coherence.FIFOArbiter:
 	default:
-		return false
+		return ffOff
 	}
-	m := cfg.Machine
-	return m.StoreBufferDepth == 0 && m.LinkOccupancy == 0
+	if m := cfg.Machine; m.StoreBufferDepth != 0 || m.LinkOccupancy != 0 {
+		return ffOff
+	}
+	switch cfg.Mode {
+	case ReadWriteMix:
+		if cfg.ReadFraction >= 1 {
+			return ffFree
+		}
+	case HighContention:
+		switch cfg.Primitive {
+		case atomics.FAA, atomics.SWAP, atomics.TAS, atomics.Store:
+			return ffGrant
+		case atomics.Load, atomics.Fence:
+			return ffFree
+		}
+	}
+	return ffOff
 }
 
 // memoLine is the shared line a memoized cell cycles on (linesFor
@@ -155,12 +206,14 @@ func memoEligible(cfg *Config) bool {
 const memoLine = coherence.LineID(1)
 
 // memoArm starts (or restarts) a memoization pass and installs the
-// recording tracer. The pre-warmup pass fingerprints with the warmup
-// marker still pending (want = 2) and may only jump short of the
-// warmup boundary; the post-warmup pass owns the queue alone (want = 1)
-// and jumps toward the end of the window. skip consumes probes before
-// the first capture — past the startup convoy in the pre pass, past
-// the warmup marker's own mid-service probe in the post pass.
+// probe and the recording tracer. The grant-mode pre-warmup pass
+// fingerprints with the warmup marker still pending (want = 2) and may
+// only jump short of the warmup boundary; the measured-window pass owns
+// the queue alone (want = 1, or one completion per thread in
+// contention-free mode) and jumps toward the end of the window. skip
+// consumes probes before the first capture — past the startup convoy
+// in the pre pass, past the warmup marker's own mid-service probe in
+// the measured-window pass.
 func (r *runner) memoArm(want, skip int, bound sim.Time) {
 	m := &r.memo
 	m.phase = memoCapture
@@ -172,19 +225,26 @@ func (r *runner) memoArm(want, skip int, bound sim.Time) {
 	// search bound proportional to the thread count makes a failed
 	// capture cheap enough to retry.
 	m.searchLim = uint64(4*r.cfg.Threads + 64)
+	r.eng.SetIdleHook(r.probeFn)
 	r.mem.System().SetTracer(r.traceRecFn)
 }
 
-// cycleKey fingerprints the cell between events: the time to the next
-// pending event (the completion; pass bounds keep the warmup marker
-// from ever being the nearer one on a cycle boundary) plus the line's
-// protocol state and queue window.
+// cycleKey fingerprints the cell between events: the line's protocol
+// state and queue window, plus the phase of the pending work. In grant
+// mode that is the time to the next pending event (the completion; pass
+// bounds keep the warmup marker from ever being the nearer one on a
+// cycle boundary). In contention-free mode every thread has its own op
+// in flight, whose completion time is fixed by its issue offset.
 func (r *runner) cycleKey(dst []byte) []byte {
-	at, _ := r.eng.PeekTime()
-	d := uint64(at - r.eng.Now())
-	dst = append(dst,
-		byte(d), byte(d>>8), byte(d>>16), byte(d>>24),
-		byte(d>>32), byte(d>>40), byte(d>>48), byte(d>>56))
+	now := r.eng.Now()
+	if r.memoMode == ffFree {
+		for _, th := range r.threads[:r.cfg.Threads] {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(now-th.issuedAt))
+		}
+	} else {
+		at, _ := r.eng.PeekTime()
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(at-now))
+	}
 	return r.mem.System().AppendCycleKey(dst, memoLine)
 }
 
@@ -195,6 +255,10 @@ func (r *runner) memoBase() {
 	m.p0 = r.eng.Processed()
 	m.opsB, m.attB, m.failB = r.ops, r.attempts, r.failures
 	m.perOpsB = append(m.perOpsB[:0], r.perOps...)
+	m.rngB = m.rngB[:0]
+	for _, th := range r.threads[:r.cfg.Threads] {
+		m.rngB = append(m.rngB, th.rng.Pos())
+	}
 	m.cohB = r.mem.System().Stats()
 	if m.latB == nil {
 		m.latB, m.slatB = stats.NewHistogram(), stats.NewHistogram()
@@ -241,6 +305,12 @@ func (r *runner) probe() {
 			// first op); wait for the steady queue shape.
 			return
 		}
+		if r.memoMode == ffFree && !r.mem.System().LineIdle(memoLine) {
+			// Opening misses still draining through the line: the
+			// pending count can match while one thread's read is in
+			// service and the rest already hit.
+			return
+		}
 		r.memoCapture()
 	case memoRecord, memoVerify:
 		if r.eng.Pending() != m.want {
@@ -276,6 +346,10 @@ func (r *runner) probe() {
 			for i, b := range m.perOpsB {
 				m.dPerOps = append(m.dPerOps, r.perOps[i]-b)
 			}
+			m.dRNG = m.dRNG[:0]
+			for i, b := range m.rngB {
+				m.dRNG = append(m.dRNG, r.threads[i].rng.Pos()-b)
+			}
 			m.dCoh = subStats(r.mem.System().Stats(), m.cohB)
 			r.memoBase()
 			m.evsB = m.evsB[:0]
@@ -300,13 +374,11 @@ func (r *runner) memoJump() {
 		r.failures-m.failB == m.dFail &&
 		subStats(sys.Stats(), m.cohB) == m.dCoh &&
 		len(m.evsA) == len(m.evsB)
-	if ok {
-		for i, b := range m.perOpsB {
-			if r.perOps[i]-b != m.dPerOps[i] {
-				ok = false
-				break
-			}
-		}
+	for i, b := range m.perOpsB {
+		ok = ok && r.perOps[i]-b == m.dPerOps[i]
+	}
+	for i, b := range m.rngB {
+		ok = ok && r.threads[i].rng.Pos()-b == m.dRNG[i]
 	}
 	if ok {
 		for i := range m.evsA {
@@ -332,7 +404,11 @@ func (r *runner) memoJump() {
 	}
 	k := cycles - 1
 	jump := sim.Time(k) * m.dur
-	if !eng.ShiftHead(jump) {
+	if r.measuring {
+		// The warmup marker has fired: every pending event belongs to
+		// the periodic schedule and moves with it.
+		eng.ShiftPending(jump)
+	} else if !eng.ShiftHead(jump) {
 		r.memoAbort()
 		return
 	}
@@ -356,8 +432,18 @@ func (r *runner) memoJump() {
 	}
 	r.meter.Replay(m.njs, k)
 
-	sys.ShiftInFlight(jump)
+	// Each thread now stands in for its k-cycles-later self: its
+	// stream has made k cycles' worth of draws, and its in-flight op
+	// (with the memory's request and fence stamps) issued jump later.
+	for i, th := range r.threads[:r.cfg.Threads] {
+		th.rng.Advance(k * m.dRNG[i])
+		th.issuedAt += jump
+	}
+	r.mem.ShiftInFlight(jump)
 	eng.JumpClock(now+jump, k*m.period)
+	if jumpHook != nil {
+		jumpHook(r.memoMode, k)
+	}
 	r.memoAbort() // restores the tracer; phase = done
 }
 

@@ -236,6 +236,9 @@ type thread struct {
 	next  int
 	// lastSeen drives the CAS expected value.
 	lastSeen uint64
+	// issuedAt is when the thread's latest operation was issued; the
+	// contention-free fast-forward fingerprints it (fastforward.go).
+	issuedAt sim.Time
 	// spanStart marks the start of the current CAS retry span.
 	spanStart sim.Time
 	inSpan    bool
@@ -285,11 +288,11 @@ type runner struct {
 	// the method value per run would allocate a closure per cell.
 	traceFn func(coherence.TraceEvent)
 
-	// Steady-state cycle memoizer (fastforward.go). memoArmed is the
-	// per-run eligibility verdict; probeFn and traceRecFn are the
-	// prebaked engine idle hook and recording tracer.
+	// Steady-state cycle memoizer (fastforward.go). memoMode is the
+	// per-run eligibility verdict (ffOff when disarmed); probeFn and
+	// traceRecFn are the prebaked engine idle hook and recording tracer.
 	memo       memoState
-	memoArmed  bool
+	memoMode   int
 	probeFn    func()
 	traceRecFn func(coherence.TraceEvent)
 	// Placement cache: sweeps run many cells with the same policy and
@@ -404,13 +407,18 @@ func newRunner(m *machine.Machine) (*runner, error) {
 		// Zero the instruments so the snapshot, like every other
 		// reported number, covers exactly the measured window.
 		r.reg.Reset()
-		if r.memoArmed {
-			// Re-arm the cycle memoizer for the measured window: the
-			// marker has fired, so the queue holds only the pending
-			// completion (want = 1), and this probe sits mid-service at
+		if r.memoMode != ffOff {
+			// Arm the cycle memoizer for the measured window: the
+			// marker has fired, so the queue holds only the schedule's
+			// own completions (one in grant mode, one per thread in
+			// contention-free mode), and this probe sits mid-service at
 			// the warmup boundary, a phase the cycle never revisits
 			// (skip = 1).
-			r.memoArm(1, 1, r.endAt)
+			want := 1
+			if r.memoMode == ffFree {
+				want = r.cfg.Threads
+			}
+			r.memoArm(want, 1, r.endAt)
 		}
 	}
 	r.probeFn = r.probe
@@ -512,14 +520,18 @@ func RunReusing(cfg Config, recycle *Result) (*Result, error) {
 	r.measuring = false
 	r.endAt = cfg.Warmup + cfg.Duration
 	r.memo.phase = memoOff
-	r.memoArmed = fastForwardOn && memoEligible(&cfg)
-	if r.memoArmed {
-		eng.SetIdleHook(r.probeFn)
+	r.memoMode = ffOff
+	if fastForwardOn {
+		r.memoMode = memoEligible(&cfg)
+	}
+	if r.memoMode == ffGrant {
 		// Pre-warmup pass: the warmup marker is still pending alongside
 		// the completion (want = 2) and bounds the jump; skip past the
 		// startup convoy and the cold-miss fill (about one rotation)
 		// before fingerprinting — a capture taken too early just fails
-		// its bounded search and is retaken.
+		// its bounded search and is retaken. Contention-free runs skip
+		// this pass: their completions cannot move while the marker
+		// stays put (fastforward.go).
 		r.memoArm(2, cfg.Threads+4, cfg.Warmup)
 	}
 	r.ops, r.attempts, r.failures = 0, 0, 0
@@ -565,7 +577,7 @@ func RunReusing(cfg Config, recycle *Result) (*Result, error) {
 			r.root.SplitInto(th.rng)
 		}
 		th.next, th.lastSeen, th.expected = 0, 0, 0
-		th.spanStart, th.inSpan = 0, false
+		th.issuedAt, th.spanStart, th.inSpan = 0, 0, false
 		r.linesFor(th, i)
 	}
 
@@ -597,7 +609,7 @@ func RunReusing(cfg Config, recycle *Result) (*Result, error) {
 
 	eng.Run(r.endAt)
 
-	if r.memoArmed {
+	if r.memoMode != ffOff {
 		// The run may have ended mid-recording; put the plain tracer
 		// back before the runner returns to the pool.
 		mem.System().SetTracer(r.traceFn)
@@ -699,6 +711,7 @@ func (r *runner) operate(th *thread) {
 	if r.eng.Now() >= r.endAt {
 		return
 	}
+	th.issuedAt = r.eng.Now()
 	line := th.lines[th.next]
 	th.next = (th.next + 1) % len(th.lines)
 

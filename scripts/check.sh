@@ -16,7 +16,7 @@
 # byte-identically from the digest-keyed cache), an atomicd job-server
 # smoke (submit → poll → dedup → SIGTERM drain), a bench smoke
 # enforcing the simulation path's allocation budgets (coherence access,
-# workload cell, app cell), and short
+# workload cells, app cell), and short
 # native-fuzz passes over the run-log parsers, topology hop
 # computation, the machine and workload spec loaders, and the sharded
 # event-queue merge. Run from the repo root.
@@ -298,8 +298,9 @@ wait "$atomicd_pid" || { echo "atomicd drain exited nonzero" >&2; exit 1; }
 
 echo "== bench smoke (allocation budget on the simulation path)"
 # The coherence access path must stay allocation-free, and a full cell
-# must stay within a one-time pool-build budget (the steady state is
-# zero allocations; at 100 iterations the build cost amortizes to a few
+# (the FAA grant-rotation cell and the contention-free Load cell) must
+# stay within a one-time pool-build budget (the steady state is zero
+# allocations; at 100 iterations the build cost amortizes to a few
 # objects per op). A regression to per-event allocation shows up as
 # hundreds of allocs/op and fails here before it lands.
 go test -run XXX -bench 'BenchmarkCoherenceAccess$' -benchtime 100x -benchmem \
@@ -308,10 +309,11 @@ awk '/BenchmarkCoherenceAccess/ { if ($(NF-1) + 0 != 0) exit 1 }' "$dir/bench_co
     echo "coherence access path allocates (allocs/op > 0)" >&2
     exit 1
 }
-go test -run XXX -bench 'BenchmarkFullCell$' -benchtime 100x -benchmem \
+go test -run XXX -bench 'Benchmark(FullCell|LoadCell)$' -benchtime 100x -benchmem \
     ./internal/harness | tee "$dir/bench_cell.txt"
-awk '/BenchmarkFullCell/ { if ($(NF-1) + 0 > 20) exit 1 }' "$dir/bench_cell.txt" || {
-    echo "full-cell allocations regressed (allocs/op > 20 at 100 iterations)" >&2
+awk '/^Benchmark(FullCell|LoadCell)-/ { n++; if ($(NF-1) + 0 > 20) exit 1 } END { if (n != 2) exit 1 }' \
+    "$dir/bench_cell.txt" || {
+    echo "full-cell allocations regressed (allocs/op > 20 at 100 iterations, or a cell is missing)" >&2
     exit 1
 }
 # An app cell's allocations are its setup (engine, memory, router,
