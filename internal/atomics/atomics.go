@@ -293,9 +293,9 @@ func (mem *Memory) Reset() {
 
 // ShiftInFlight translates every in-flight operation's issue time by
 // delta, on behalf of the fast-forward layer that has just moved the
-// pending events delta later (sim.Engine.ShiftPending): the coherence
-// requests' issue stamps (coherence.System.ShiftInFlight) and the
-// fences' start times, from which a fence's latency is taken at
+// pending events delta later (sim.Engine.ShiftPendingBefore): the
+// coherence requests' issue stamps (coherence.System.ShiftInFlight) and
+// the fences' start times, from which a fence's latency is taken at
 // completion. Without the latter a fence straddling the jump would
 // absorb the elided span. Pooled idle contexts are shifted too —
 // harmless, since start is overwritten at issue.

@@ -1182,9 +1182,9 @@ func (s *System) AddScaledStats(d Stats, k uint64) {
 }
 
 // ShiftInFlight translates the issue timestamp of every live request by
-// delta, alongside sim.Engine.ShiftPending: when the fast-forward layer
-// elides k cycles, an in-flight request stands in for its k-cycles-later
-// counterpart, whose issue time is exactly delta later. Latency is
+// delta, alongside sim.Engine.ShiftPendingBefore: when the fast-forward
+// layer elides k cycles, an in-flight request stands in for its
+// k-cycles-later counterpart, whose issue time is exactly delta later. Latency is
 // finalized at completion as now−issued, so without this shift the
 // requests straddling a jump would absorb the whole elided span into
 // their reported latency. Requests in the free pool are shifted too —
@@ -1248,6 +1248,20 @@ func (s *System) LineIdle(id LineID) bool {
 		l = s.lines[id]
 	}
 	return l == nil || (!l.busy && l.qlen() == 0)
+}
+
+// LineHeld reports whether core's cache holds line id — as owner or
+// sharer, so its next access hits — with no request queued behind it.
+// A cold fill names its requester the owner when it is granted, before
+// the data arrives, so a caller that needs the fill complete must know
+// that separately. The contention-free fast-forward (internal/workload)
+// requires it of every private line before fingerprinting.
+func (s *System) LineHeld(id LineID, core int) bool {
+	l := s.lastLine
+	if l == nil || l.id != id {
+		l = s.lines[id]
+	}
+	return l != nil && (l.owner == core || l.sharers.has(core)) && l.qlen() == 0
 }
 
 func appendUint64(dst []byte, v uint64) []byte {

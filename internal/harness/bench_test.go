@@ -51,8 +51,22 @@ func benchFullCell(b *testing.B, withMetrics bool) {
 // BenchmarkLoadCell measures the quick 16-thread high-contention Load
 // cell on the Xeon — the long pole of F2 and F3. Every op is an L1 hit
 // on the reader's own shared copy, so the cell is contention-free and
-// the fast-forward elides nearly its whole measured window.
+// the fast-forward elides nearly its whole warmup and measured window.
 func BenchmarkLoadCell(b *testing.B) {
+	benchQuickCell(b, atomics.Load, workload.HighContention)
+}
+
+// BenchmarkLowContentionCell measures the quick 16-thread low-contention
+// FAA cell on the Xeon — the shape of F6's long pole. Each thread cycles
+// over its 16 private lines, every op an owner hit after one cold fill
+// per line, so the fast-forward elides both windows past the fills.
+func BenchmarkLowContentionCell(b *testing.B) {
+	benchQuickCell(b, atomics.FAA, workload.LowContention)
+}
+
+// benchQuickCell runs one quick-window 16-thread Xeon cell of primitive
+// p in the given mode per iteration, recycling its Result.
+func benchQuickCell(b *testing.B, p atomics.Primitive, mode workload.Mode) {
 	m := machine.XeonE5()
 	o := Options{Quick: true}
 	b.ReportAllocs()
@@ -61,8 +75,7 @@ func BenchmarkLoadCell(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		res, err = workload.RunReusing(workload.Config{
-			Machine: m, Threads: 16, Primitive: atomics.Load,
-			Mode:   workload.HighContention,
+			Machine: m, Threads: 16, Primitive: p, Mode: mode,
 			Warmup: o.warmup(), Duration: o.duration(),
 			Seed: 1,
 		}, res)

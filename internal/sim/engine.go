@@ -34,10 +34,10 @@
 //
 // # Fast-forward hooks
 //
-// ShiftPending, JumpClock and SetIdleHook exist for the analytic
+// ShiftPendingBefore, JumpClock and SetIdleHook exist for the analytic
 // fast-forward layer (internal/workload's steady-state extrapolation):
 // they let a caller that has proven the simulation is in an exactly
-// periodic regime translate every pending event forward in time, advance
+// periodic regime translate its pending events forward in time, advance
 // the clock and the processed-event count by the elided amount, and get
 // control between events to do so. They preserve all engine invariants
 // but are not meant for general scheduling.
@@ -229,7 +229,7 @@ type Engine struct {
 	// idleHook, when set, runs after each event's callback returns, with
 	// the dispatch stack empty. The steady-state fast-forward layer uses
 	// it as its only foothold: between events it may inspect the queue,
-	// ShiftPending and JumpClock. It must not schedule events itself.
+	// ShiftPendingBefore and JumpClock. It must not schedule events itself.
 	idleHook func()
 }
 
@@ -397,56 +397,52 @@ func (e *Engine) PeekTime() (Time, bool) {
 // Stop halts Run before the next event. Events already dequeued complete.
 func (e *Engine) Stop() { e.stopped = true }
 
-// ShiftPending adds delta to the timestamp of every pending event.
-// A uniform translation preserves heap order and the express lane's
-// monotonicity, so this is safe at any queue size; it exists for the
-// fast-forward layer, which translates an exactly periodic schedule
-// over the elided cycles. delta must be non-negative.
-func (e *Engine) ShiftPending(delta Time) {
+// ShiftPendingBefore adds delta to the timestamp of every pending event
+// earlier than limit and leaves the rest where they are. It exists for
+// the fast-forward layer, which translates an exactly periodic schedule
+// over the elided cycles while a fixed marker event (the warmup
+// boundary, at limit) stays put; with no marker it moves every pending
+// event. Every shifted event must land at or before limit, and it
+// panics otherwise: the shifted events then still order before the
+// unshifted ones, so the express lane stays time-ordered and a shard
+// heap needs rebuilding only where a shifted event ties limit (a tie
+// breaks by sequence number, which the shift does not consult). delta
+// must be non-negative.
+func (e *Engine) ShiftPendingBefore(limit, delta Time) {
 	if delta < 0 {
-		panic("sim: ShiftPending with negative delta")
+		panic("sim: ShiftPendingBefore with negative delta")
+	}
+	// shift moves ev if it is due before limit and reports whether it
+	// now sits exactly at limit.
+	shift := func(ev *event) bool {
+		if ev.at >= limit {
+			return false
+		}
+		ev.at += delta
+		if ev.at > limit {
+			panic(fmt.Sprintf("sim: ShiftPendingBefore moved an event to %v, past its limit %v", ev.at, limit))
+		}
+		return ev.at == limit
 	}
 	for s := range e.shards {
-		h := e.shards[s]
-		for i := range h {
-			h[i].at += delta
+		old := e.shards[s]
+		tie := false
+		for i := range old {
+			tie = shift(&old[i]) || tie
+		}
+		if tie {
+			// Rebuild in place: push writes only slots up to the one
+			// just read, so it never clobbers an unread event.
+			h := old[:0]
+			for _, ev := range old {
+				h.push(ev)
+			}
+			e.shards[s] = h
 		}
 	}
 	for i := e.exHead; i < len(e.express); i++ {
-		e.express[i].at += delta
+		shift(&e.express[i])
 	}
-}
-
-// ShiftHead adds delta to the timestamp of only the next-to-run event,
-// re-establishing queue order, and reports whether it could. Unlike
-// ShiftPending it leaves every other pending event in place: the
-// fast-forward layer uses it to translate a periodic completion past
-// elided cycles while a fixed marker event (the warmup boundary) stays
-// where it is. It declines — changing nothing — when no event is
-// pending or when the head sits on the express lane ahead of another
-// lane entry it would overtake (the lane must stay time-ordered). As
-// with ShiftPending, the caller is responsible for the shifted time
-// being consistent with the subsequent JumpClock.
-func (e *Engine) ShiftHead(delta Time) bool {
-	if delta < 0 {
-		panic("sim: ShiftHead with negative delta")
-	}
-	_, _, src := e.peekMin()
-	switch src {
-	case srcNone:
-		return false
-	case srcExpress:
-		if e.exHead+1 < len(e.express) && e.express[e.exHead].at+delta > e.express[e.exHead+1].at {
-			return false
-		}
-		e.express[e.exHead].at += delta
-	default:
-		h := &e.shards[src]
-		ev := h.pop()
-		ev.at += delta
-		h.push(ev)
-	}
-	return true
 }
 
 // JumpClock advances the clock to t and credits skipped elided events

@@ -145,14 +145,15 @@ func TestPendingAccountingSharded(t *testing.T) {
 }
 
 // TestShiftPendingAndJumpClock exercises the fast-forward hooks: a
-// uniform shift preserves relative order, JumpClock credits skipped
-// events to Processed, and overtaking a pending event panics.
+// shift with no event at or past its limit moves every pending event
+// and preserves relative order, JumpClock credits skipped events to
+// Processed, and overtaking a pending event panics.
 func TestShiftPendingAndJumpClock(t *testing.T) {
 	e := NewEngineSharded(2)
 	var fired []Time
 	e.AtShard(0, 10*Nanosecond, func() { fired = append(fired, e.Now()) })
 	e.AtShard(1, 20*Nanosecond, func() { fired = append(fired, e.Now()) })
-	e.ShiftPending(100 * Nanosecond)
+	e.ShiftPendingBefore(Second, 100*Nanosecond)
 	e.JumpClock(105*Nanosecond, 7)
 	if e.Processed() != 7 {
 		t.Fatalf("processed = %d after JumpClock credit, want 7", e.Processed())
@@ -173,6 +174,85 @@ func TestShiftPendingAndJumpClock(t *testing.T) {
 	e2 := NewEngine()
 	e2.At(Nanosecond, func() {})
 	e2.JumpClock(2*Nanosecond, 0)
+}
+
+// TestShiftPendingBeforeMatchesRescheduled is the property test for
+// the fast-forward shift: random events across the shards and the
+// express lane, plus a marker at limit, are shifted by the largest
+// delta that keeps every event before limit at or before it (or a bit
+// less). Times sit on a coarse grid, so shifted events often tie
+// unshifted ones at limit. The pop sequence must equal that of a
+// reference engine whose events were scheduled at the shifted times in
+// the same order, and the marker must still fire at limit.
+func TestShiftPendingBeforeMatchesRescheduled(t *testing.T) {
+	const limit = 100 * Nanosecond
+	type fired struct {
+		id int
+		at Time
+	}
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := NewRNG(seed)
+		n := 1 + r.Intn(150)
+		ats := make([]Time, n)
+		lane := make([]bool, n)
+		marker := r.Intn(n) // this event is the marker, at limit
+		var early Time      // latest event time before limit
+		for i := range ats {
+			ats[i] = Time(r.Intn(40)) * 5 * Nanosecond
+			if i == marker {
+				ats[i] = limit
+			}
+			lane[i] = r.Intn(3) == 0
+			if ats[i] < limit && ats[i] > early {
+				early = ats[i]
+			}
+		}
+		delta := limit - early
+		if r.Intn(2) == 0 {
+			delta -= Time(r.Intn(int(delta/Nanosecond)+1)) * Nanosecond // no forced tie
+		}
+
+		// run schedules every event from inside a setup event (so the
+		// express lane is open), shifted ones at shift[i] in the
+		// reference, and applies the shift from the idle hook right
+		// after setup in the engine under test.
+		run := func(e *Engine, shifted bool) []fired {
+			var out []fired
+			e.At(0, func() {
+				for i, at := range ats {
+					i := i
+					fn := func() { out = append(out, fired{i, e.Now()}) }
+					if !shifted && at < limit {
+						at += delta
+					}
+					if !lane[i] || !e.TryExpress(at-e.Now(), fn) {
+						e.AtShard(i, at, fn)
+					}
+				}
+			})
+			if shifted {
+				e.SetIdleHook(func() {
+					e.SetIdleHook(nil)
+					e.ShiftPendingBefore(limit, delta)
+				})
+			}
+			e.Run(Second)
+			return out
+		}
+		got := run(NewEngineSharded(2), true)
+		want := run(NewEngineSharded(2), false)
+		if len(got) != n || len(want) != n {
+			t.Fatalf("seed %d: fired %d/%d events, want %d", seed, len(got), len(want), n)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: pop %d is %+v after the shift, %+v when rescheduled", seed, i, got[i], want[i])
+			}
+			if got[i].id == marker && got[i].at != limit {
+				t.Fatalf("seed %d: marker fired at %v, want %v", seed, got[i].at, limit)
+			}
+		}
+	}
 }
 
 // TestEngineReset verifies a reset engine replays a script identically

@@ -1,29 +1,34 @@
 // Steady-state cycle memoizer: the workload-level half of the analytic
-// fast-forward layer (the engine half is sim.ShiftHead/ShiftPending/
+// fast-forward layer (the engine half is sim.ShiftPendingBefore and
 // JumpClock, plus sim.RNG.Advance for the threads' streams).
 //
-// A closed-loop cell on one shared line settles into an exactly
-// periodic schedule, in one of two ways (the memoizer's modes):
+// A closed-loop cell settles into an exactly periodic schedule, in one
+// of two ways (the memoizer's modes):
 //
-//   - Grant rotation (ffGrant). With no think time and a FIFO arbiter,
-//     a value-independent RMW (FAA, SWAP, TAS, Store) grants the same
-//     rotation of threads in the same order with the same service
-//     intervals forever.
-//   - Contention-free (ffFree). Loads that every core serves from its
-//     own shared copy, and fences that never reach the line, never
-//     change the line's directory state: every thread cycles on its own
-//     fixed service time, independently of the others.
+//   - Grant rotation (ffGrant). On one shared line with no think time
+//     and a FIFO arbiter, a value-independent RMW (FAA, SWAP, TAS,
+//     Store) grants the same rotation of threads in the same order with
+//     the same service intervals forever.
+//   - Contention-free (ffFree). No op changes the directory state of
+//     the lines it touches: loads that every core serves from its own
+//     shared copy and fences that never reach the line, or — in low
+//     contention — value-independent ops on each thread's private
+//     lines, every one an owner hit after its cold fill. Every thread
+//     cycles on its own fixed service time, independently of the
+//     others.
 //
-// Either way the simulation spends its whole measured window
-// re-deriving a cycle it has already computed. The memoizer detects
-// that cycle and skips it analytically:
+// Either way the simulation spends its windows re-deriving a cycle it
+// has already computed. The memoizer detects that cycle and skips it
+// analytically:
 //
-//  1. Fingerprint the cell state between events: the line's directory
-//     entry and queue window in grant order, plus — in grant mode —
-//     the time to the pending completion, or — in contention-free
-//     mode — every thread's in-flight issue offset (now − issuedAt).
-//     That is everything the access path can read, minus the monotone
-//     counters that provably do not feed back.
+//  1. Fingerprint the cell state between events. In grant mode that is
+//     the line's directory entry and queue window in grant order plus
+//     the time to the pending completion. In contention-free mode it is
+//     every thread's in-flight issue offset (now − issuedAt) plus the
+//     shared line's entry, or on private lines each thread's rotation
+//     position and the entry of its in-flight line only. That is
+//     everything the access path can read, minus the monotone counters
+//     that provably do not feed back.
 //  2. When the fingerprint recurs, one cycle has been recorded: its
 //     event count, duration, counter deltas, per-thread RNG draws, and
 //     trace-event sequence.
@@ -40,20 +45,19 @@
 //     issue times, and jump the clock. The final partial cycle plays
 //     out live, so boundary behavior is identical to the unskipped run.
 //
-// A grant-mode run gets two passes. The pre-warmup pass arms as soon as
-// the startup convoy resolves (the first access's cold fill makes the
-// opening rotations aperiodic, so the first fingerprint may need to be
-// retaken) and jumps up to just short of the warmup boundary; the
-// warmup marker event stays pending throughout, which is why that jump
-// translates only the queue head (sim.ShiftHead) rather than every
-// pending event. The measured-window pass re-arms at the warmup
-// boundary and jumps toward the end of the window; the marker is gone
-// by then, so every pending event belongs to the periodic schedule and
-// moves with it (sim.ShiftPending). Both passes apply the identical
-// set of counter/energy effects, so the state at every boundary matches
-// the unskipped run bit-for-bit. A contention-free run has one pending
-// completion per thread, so only the measured-window pass can shift
-// them all; it runs that pass alone.
+// Every eligible run gets two passes. The pre-warmup pass arms as soon
+// as the startup convoy resolves (cold fills make the opening rotations
+// aperiodic, so the first fingerprint may need to be retaken) and jumps
+// up to just short of the warmup boundary. The warmup marker event
+// stays pending throughout, at the boundary itself, so the jump moves
+// only the events before it (sim.ShiftPendingBefore): the schedule's
+// completions, all due within one cycle, land at or before the marker,
+// and a tie still pops the marker first because it was scheduled
+// earlier. The measured-window pass re-arms at the warmup boundary and
+// jumps toward the end of the window; the marker is gone by then, so
+// the same call moves every pending event. Both passes apply the
+// identical set of counter/energy effects, so the state at every
+// boundary matches the unskipped run bit-for-bit.
 //
 // Eligibility is conservative (see memoEligible): anything that makes
 // an operation's behavior value-dependent (CAS), draws randomness that
@@ -96,10 +100,11 @@ const (
 	ffFree         // contention-free: no op changes the line's state
 )
 
-// jumpHook, when set, is called with the mode and the number of elided
-// cycles each time a jump engages. Tests use it to prove the memoizer
-// engaged on the cells it should; it is nil otherwise.
-var jumpHook func(mode int, cycles uint64)
+// jumpHook, when set, is called with the mode, the pass (false before
+// the warmup boundary, true in the measured window) and the number of
+// elided cycles each time a jump engages. Tests use it to prove the
+// memoizer engaged on the cells it should; it is nil otherwise.
+var jumpHook func(mode int, measuring bool, cycles uint64)
 
 // Memoizer phases. The probe runs between events (engine idle hook) and
 // walks: off → capture (fingerprint at an event boundary once the
@@ -124,11 +129,11 @@ const maxCaptureAttempts = 4
 type memoState struct {
 	phase int
 	// Pass parameters (memoArm): the expected steady pending-event
-	// count (in grant mode 2 pre-warmup — completion plus warmup
-	// marker — and 1 after; one per thread in contention-free mode),
-	// probes to skip before the first capture, re-capture budget, the
-	// cycle-search event bound, and the time the jump must stay short
-	// of.
+	// count (the schedule's completions — one in grant mode, one per
+	// thread in contention-free mode — plus the warmup marker before
+	// the boundary), probes to skip before the first capture,
+	// re-capture budget, the cycle-search event bound, and the time the
+	// jump must stay short of.
 	want      int
 	skip      int
 	attempts  int
@@ -160,21 +165,31 @@ type memoState struct {
 }
 
 // memoEligible returns the memoizer mode cfg's steady state admits.
-// Both modes need a closed loop on one shared line with no think time,
-// a stateless FIFO grant order, no state that spills across cycles
-// (store buffering, finite link bandwidth), and no observer that needs
-// per-event visibility (metrics, invariant checking, fault plans).
+// Both modes need a closed loop with no think time, a stateless FIFO
+// grant order, no state that spills across cycles (store buffering,
+// finite link bandwidth), and no observer that needs per-event
+// visibility (metrics, invariant checking, fault plans).
 //
-//   - ffGrant: FAA, SWAP, TAS and Store in high contention. The
-//     fingerprint leaves out the line value, which these primitives
-//     never branch on; CAS control flow does, so CAS stays ineligible.
-//   - ffFree: Load and Fence in high contention, and read/write mixes
-//     with ReadFraction 1, whose per-op draw always yields a load — the
-//     draw advances the thread's stream but its outcome never feeds
-//     back. A fraction below 1 can draw an RMW, which is aperiodic.
+//   - ffGrant: FAA, SWAP, TAS and Store in high contention on one
+//     shared line. The fingerprint leaves out the line value, which
+//     these primitives never branch on; CAS control flow does, so CAS
+//     stays ineligible in every mode.
+//   - ffFree: ops that never change a line's directory state once it
+//     has settled. On one shared line that is Load and Fence in high
+//     contention, and read/write mixes with ReadFraction 1, whose
+//     per-op draw always yields a load — the draw advances the thread's
+//     stream but its outcome never feeds back (a fraction below 1 can
+//     draw an RMW, which is aperiodic). In low contention it is FAA,
+//     SWAP, TAS, Store and Load on any number of private lines: after
+//     its cold fill each line is an owner hit of constant cost that no
+//     other thread touches. A low-contention CAS carries lastSeen from
+//     one line to the next, so its control flow depends on values.
 func memoEligible(cfg *Config) int {
-	if cfg.Lines != 1 || cfg.LocalWork != 0 || cfg.OpenLoop ||
+	if cfg.LocalWork != 0 || cfg.OpenLoop ||
 		cfg.Metrics || cfg.Check || cfg.Faults != nil {
+		return ffOff
+	}
+	if cfg.Lines != 1 && cfg.Mode != LowContention {
 		return ffOff
 	}
 	switch cfg.Arbiter.(type) {
@@ -197,20 +212,26 @@ func memoEligible(cfg *Config) int {
 		case atomics.Load, atomics.Fence:
 			return ffFree
 		}
+	case LowContention:
+		switch cfg.Primitive {
+		case atomics.FAA, atomics.SWAP, atomics.TAS, atomics.Store, atomics.Load:
+			return ffFree
+		}
 	}
 	return ffOff
 }
 
-// memoLine is the shared line a memoized cell cycles on (linesFor
-// numbers shared lines from 1; eligibility pins Lines to 1).
+// memoLine is the shared line a memoized high-contention or mix cell
+// cycles on (linesFor numbers shared lines from 1; eligibility pins
+// Lines to 1 outside low contention).
 const memoLine = coherence.LineID(1)
 
 // memoArm starts (or restarts) a memoization pass and installs the
-// probe and the recording tracer. The grant-mode pre-warmup pass
-// fingerprints with the warmup marker still pending (want = 2) and may
-// only jump short of the warmup boundary; the measured-window pass owns
-// the queue alone (want = 1, or one completion per thread in
-// contention-free mode) and jumps toward the end of the window. skip
+// probe and the recording tracer. want is the steady pending-event
+// count: the schedule's own completions (one in grant mode, one per
+// thread in contention-free mode), plus the warmup marker in the
+// pre-warmup pass, which may only jump short of the warmup boundary;
+// the measured-window pass jumps toward the end of the window. skip
 // consumes probes before the first capture — past the startup convoy
 // in the pre pass, past the warmup marker's own mid-service probe in
 // the measured-window pass.
@@ -220,32 +241,86 @@ func (r *runner) memoArm(want, skip int, bound sim.Time) {
 	m.want, m.skip, m.bound = want, skip, bound
 	m.attempts = 0
 	// The steady cycle is one rotation of the closed loop — a few
-	// events per thread — so a fingerprint that has not recurred within
-	// a handful of rotations was taken mid-transient. Keeping the
-	// search bound proportional to the thread count makes a failed
-	// capture cheap enough to retry.
-	m.searchLim = uint64(4*r.cfg.Threads + 64)
+	// events per thread and line — so a fingerprint that has not
+	// recurred within a handful of rotations was taken mid-transient.
+	// Keeping the search bound proportional to the rotation makes a
+	// failed capture cheap enough to retry.
+	m.searchLim = uint64(4*r.cfg.Threads*r.cfg.Lines + 64)
 	r.eng.SetIdleHook(r.probeFn)
 	r.mem.System().SetTracer(r.traceRecFn)
 }
 
-// cycleKey fingerprints the cell between events: the line's protocol
-// state and queue window, plus the phase of the pending work. In grant
-// mode that is the time to the next pending event (the completion; pass
-// bounds keep the warmup marker from ever being the nearer one on a
-// cycle boundary). In contention-free mode every thread has its own op
-// in flight, whose completion time is fixed by its issue offset.
+// memoCompletions is the number of completions a steady closed-loop
+// schedule keeps pending: the one service in grant mode, one op per
+// thread in contention-free mode.
+func (r *runner) memoCompletions() int {
+	if r.memoMode == ffFree {
+		return r.cfg.Threads
+	}
+	return 1
+}
+
+// cycleKey fingerprints the cell between events: the protocol state of
+// the lines in play plus the phase of the pending work. In grant mode
+// that is the shared line and the time to the next pending event (the
+// completion; pass bounds keep the warmup marker from ever being the
+// nearer one on a cycle boundary). In contention-free mode every
+// thread has its own op in flight, whose completion time is fixed by
+// its issue offset; on private lines the key adds the thread's
+// rotation position and only its in-flight line, since memoSettled has
+// proven every line held by its thread's core at capture and no other
+// thread can touch one. The key leads with thread 0's issue offset,
+// which probe uses as a cheap filter.
 func (r *runner) cycleKey(dst []byte) []byte {
 	now := r.eng.Now()
-	if r.memoMode == ffFree {
-		for _, th := range r.threads[:r.cfg.Threads] {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(now-th.issuedAt))
-		}
-	} else {
+	sys := r.mem.System()
+	if r.memoMode != ffFree {
 		at, _ := r.eng.PeekTime()
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(at-now))
+		return sys.AppendCycleKey(dst, memoLine)
 	}
-	return r.mem.System().AppendCycleKey(dst, memoLine)
+	private := r.cfg.Mode == LowContention
+	for _, th := range r.threads[:r.cfg.Threads] {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(now-th.issuedAt))
+		if private {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(th.issued%len(th.lines)))
+			dst = sys.AppendCycleKey(dst, th.inFlight())
+		}
+	}
+	if private {
+		return dst
+	}
+	return sys.AppendCycleKey(dst, memoLine)
+}
+
+// memoSettled reports whether a contention-free cell's lines are in
+// their steady state, the precondition for a capture. A shared line
+// must have drained its opening convoy of misses: until then the
+// pending count can match while one thread's read is in service and the
+// rest already hit. On private lines every cold fill must have
+// completed — in a closed loop a thread issues past its rotation only
+// once its last fill is done, which is O(threads) to check while the
+// fills are under way — and every line must then be held by its
+// thread's core with nothing queued.
+func (r *runner) memoSettled() bool {
+	sys := r.mem.System()
+	if r.cfg.Mode != LowContention {
+		return sys.LineIdle(memoLine)
+	}
+	threads := r.threads[:r.cfg.Threads]
+	for _, th := range threads {
+		if th.issued <= len(th.lines) {
+			return false
+		}
+	}
+	for _, th := range threads {
+		for _, id := range th.lines {
+			if !sys.LineHeld(id, th.core) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // memoBase records the counter baselines at a cycle boundary.
@@ -305,10 +380,7 @@ func (r *runner) probe() {
 			// first op); wait for the steady queue shape.
 			return
 		}
-		if r.memoMode == ffFree && !r.mem.System().LineIdle(memoLine) {
-			// Opening misses still draining through the line: the
-			// pending count can match while one thread's read is in
-			// service and the rest already hit.
+		if r.memoMode == ffFree && !r.memoSettled() {
 			return
 		}
 		r.memoCapture()
@@ -328,6 +400,12 @@ func (r *runner) probe() {
 				return
 			}
 			r.memoAbort()
+			return
+		}
+		if r.memoMode == ffFree &&
+			uint64(r.eng.Now()-r.threads[0].issuedAt) != binary.LittleEndian.Uint64(m.key) {
+			// Thread 0 is off its captured phase: the key cannot match,
+			// so skip building it (an O(threads) key on every event).
 			return
 		}
 		m.tmp = r.cycleKey(m.tmp[:0])
@@ -404,14 +482,11 @@ func (r *runner) memoJump() {
 	}
 	k := cycles - 1
 	jump := sim.Time(k) * m.dur
-	if r.measuring {
-		// The warmup marker has fired: every pending event belongs to
-		// the periodic schedule and moves with it.
-		eng.ShiftPending(jump)
-	} else if !eng.ShiftHead(jump) {
-		r.memoAbort()
-		return
-	}
+	// Every pending event of the periodic schedule is due within one
+	// cycle, so it moves to at most bound; the warmup marker, pending
+	// at bound in the pre-warmup pass, stays put and still pops first
+	// on a tie (it was scheduled before any completion).
+	eng.ShiftPendingBefore(m.bound, jump)
 
 	r.ops += m.dOps * k
 	r.attempts += m.dAtt * k
@@ -442,7 +517,7 @@ func (r *runner) memoJump() {
 	r.mem.ShiftInFlight(jump)
 	eng.JumpClock(now+jump, k*m.period)
 	if jumpHook != nil {
-		jumpHook(r.memoMode, k)
+		jumpHook(r.memoMode, r.measuring, k)
 	}
 	r.memoAbort() // restores the tracer; phase = done
 }

@@ -231,9 +231,11 @@ type thread struct {
 	id   int
 	core int
 	rng  *sim.RNG
-	// lines this thread operates on (shared or private per Mode).
-	lines []coherence.LineID
-	next  int
+	// lines this thread operates on (shared or private per Mode), in
+	// rotation: issued counts the operations issued this run, so
+	// lines[issued%len(lines)] is the next one.
+	lines  []coherence.LineID
+	issued int
 	// lastSeen drives the CAS expected value.
 	lastSeen uint64
 	// issuedAt is when the thread's latest operation was issued; the
@@ -414,11 +416,7 @@ func newRunner(m *machine.Machine) (*runner, error) {
 			// contention-free mode), and this probe sits mid-service at
 			// the warmup boundary, a phase the cycle never revisits
 			// (skip = 1).
-			want := 1
-			if r.memoMode == ffFree {
-				want = r.cfg.Threads
-			}
-			r.memoArm(want, 1, r.endAt)
+			r.memoArm(r.memoCompletions(), 1, r.endAt)
 		}
 	}
 	r.probeFn = r.probe
@@ -524,15 +522,13 @@ func RunReusing(cfg Config, recycle *Result) (*Result, error) {
 	if fastForwardOn {
 		r.memoMode = memoEligible(&cfg)
 	}
-	if r.memoMode == ffGrant {
+	if r.memoMode != ffOff {
 		// Pre-warmup pass: the warmup marker is still pending alongside
-		// the completion (want = 2) and bounds the jump; skip past the
+		// the schedule's completions and bounds the jump; skip past the
 		// startup convoy and the cold-miss fill (about one rotation)
 		// before fingerprinting — a capture taken too early just fails
-		// its bounded search and is retaken. Contention-free runs skip
-		// this pass: their completions cannot move while the marker
-		// stays put (fastforward.go).
-		r.memoArm(2, cfg.Threads+4, cfg.Warmup)
+		// its bounded search and is retaken.
+		r.memoArm(r.memoCompletions()+1, cfg.Threads+4, cfg.Warmup)
 	}
 	r.ops, r.attempts, r.failures = 0, 0, 0
 	r.cohAtMeasure = coherence.Stats{}
@@ -576,7 +572,7 @@ func RunReusing(cfg Config, recycle *Result) (*Result, error) {
 		} else {
 			r.root.SplitInto(th.rng)
 		}
-		th.next, th.lastSeen, th.expected = 0, 0, 0
+		th.issued, th.lastSeen, th.expected = 0, 0, 0
 		th.issuedAt, th.spanStart, th.inSpan = 0, 0, false
 		r.linesFor(th, i)
 	}
@@ -691,6 +687,11 @@ func (r *runner) linesFor(th *thread, i int) {
 	th.lines = out
 }
 
+// inFlight is the line of the thread's latest operation.
+func (th *thread) inFlight() coherence.LineID {
+	return th.lines[(th.issued-1)%len(th.lines)]
+}
+
 // step runs one think-then-operate iteration of a thread.
 func (r *runner) step(th *thread) {
 	if r.eng.Now() >= r.endAt {
@@ -712,8 +713,8 @@ func (r *runner) operate(th *thread) {
 		return
 	}
 	th.issuedAt = r.eng.Now()
-	line := th.lines[th.next]
-	th.next = (th.next + 1) % len(th.lines)
+	line := th.lines[th.issued%len(th.lines)]
+	th.issued++
 
 	p := r.cfg.Primitive
 	if r.cfg.Mode == ReadWriteMix && th.rng.Float64() < r.cfg.ReadFraction {

@@ -14,7 +14,9 @@
 # the conflict-model prediction column), a fleet-sweep smoke
 # (-fleet cross-architecture run with bottleneck verdicts, resumed
 # byte-identically from the digest-keyed cache), an atomicd job-server
-# smoke (submit → poll → dedup → SIGTERM drain), a bench smoke
+# smoke (submit → poll → dedup → SIGTERM drain), an artifact drift
+# check (the checked-in full-size outputs regenerate byte-identically,
+# scripts/artifacts.sh), a bench smoke
 # enforcing the simulation path's allocation budgets (coherence access,
 # workload cells, app cell), and short
 # native-fuzz passes over the run-log parsers, topology hop
@@ -296,10 +298,14 @@ wait "$atomicd_pid" || { echo "atomicd drain exited nonzero" >&2; exit 1; }
     echo "drained journal still has pending jobs" >&2; exit 1
 }
 
+echo "== artifact drift (fullrun.txt, report.md, results/*.csv regenerate byte-identically)"
+./scripts/artifacts.sh -check
+
 echo "== bench smoke (allocation budget on the simulation path)"
 # The coherence access path must stay allocation-free, and a full cell
-# (the FAA grant-rotation cell and the contention-free Load cell) must
-# stay within a one-time pool-build budget (the steady state is zero
+# (the FAA grant-rotation cell, the contention-free Load cell and the
+# low-contention private-line FAA cell) must stay within a one-time
+# pool-build budget (the steady state is zero
 # allocations; at 100 iterations the build cost amortizes to a few
 # objects per op). A regression to per-event allocation shows up as
 # hundreds of allocs/op and fails here before it lands.
@@ -309,9 +315,9 @@ awk '/BenchmarkCoherenceAccess/ { if ($(NF-1) + 0 != 0) exit 1 }' "$dir/bench_co
     echo "coherence access path allocates (allocs/op > 0)" >&2
     exit 1
 }
-go test -run XXX -bench 'Benchmark(FullCell|LoadCell)$' -benchtime 100x -benchmem \
+go test -run XXX -bench 'Benchmark(FullCell|LoadCell|LowContentionCell)$' -benchtime 100x -benchmem \
     ./internal/harness | tee "$dir/bench_cell.txt"
-awk '/^Benchmark(FullCell|LoadCell)-/ { n++; if ($(NF-1) + 0 > 20) exit 1 } END { if (n != 2) exit 1 }' \
+awk '/^Benchmark(FullCell|LoadCell|LowContentionCell)-/ { n++; if ($(NF-1) + 0 > 20) exit 1 } END { if (n != 3) exit 1 }' \
     "$dir/bench_cell.txt" || {
     echo "full-cell allocations regressed (allocs/op > 20 at 100 iterations, or a cell is missing)" >&2
     exit 1
