@@ -16,6 +16,7 @@
 //	atomicsim -quick              # trimmed sweeps for a fast look
 //	atomicsim -par 4              # cap concurrent simulation cells
 //	atomicsim -csv results/       # additionally write one CSV per table
+//	atomicsim -report report.md   # additionally write a Markdown report with charts
 //	atomicsim -list               # list experiment IDs and claims
 //	atomicsim -manifest run/      # also write a structured run manifest
 //	atomicsim -resume run/        # re-run only missing/failed cells
@@ -37,32 +38,27 @@ import (
 	"strings"
 	"time"
 
-	"atomicsmodel/internal/apps"
+	"atomicsmodel/cmd/internal/cli"
 	"atomicsmodel/internal/faults"
 	"atomicsmodel/internal/harness"
-	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/runlog"
-	"atomicsmodel/internal/workload"
 )
 
 func main() {
 	var (
 		expID   = flag.String("exp", "", "comma-separated experiment IDs to run (default: all)")
-		machs   = flag.String("machines", "", "comma-separated registered machine names (default: the paper pair; see -machines list on a bad name)")
-		machAlt = flag.String("machine", "", "alias for -machines")
-		machFil = flag.String("machinefile", "", "comma-separated JSON machine spec files to run alongside -machines")
-		wlNames = flag.String("workloads", "", "comma-separated registered workload spec names to run as the W suite (replaces the default experiment list unless -exp is given)")
-		wlFiles = flag.String("workloadfile", "", "comma-separated JSON workload spec files to run alongside -workloads")
-		apNames = flag.String("apps", "", "comma-separated registered app spec names to run as the A suite (replaces the default experiment list unless -exp is given)")
-		apFiles = flag.String("appfile", "", "comma-separated JSON app spec files to run alongside -apps")
+		machSel = cli.MachineFlags("")
+		wlSel   = cli.WorkloadFlags("run as the W suite (replaces the default experiment list unless -exp is given)")
+		apSel   = cli.AppFlags("run as the A suite (replaces the default experiment list unless -exp is given)")
 		fleet   = flag.Bool("fleet", false, "fleet sweep: run the selected workloads across every registered machine with per-cell bottleneck verdicts (see BOTTLENECKS.md)")
-		knee    = flag.Float64("knee", 0.9, "utilization threshold for fleet knee detection")
+		knee    = flag.Float64("knee", 0.9, "utilization threshold in (0,1] for fleet knee detection")
 		quick   = flag.Bool("quick", false, "trimmed sweeps and shorter simulated durations")
 		seed    = flag.Uint64("seed", 42, "base random seed")
 		par     = flag.Int("par", runtime.NumCPU(), "max concurrent simulation cells (results are identical for any value)")
 		quiet   = flag.Bool("quiet", false, "suppress per-experiment progress on stderr")
 		withMet = flag.Bool("metrics", false, "collect per-cell coherence/sim metrics and append breakdown tables")
 		csvDir  = flag.String("csv", "", "directory to write per-table CSV files into")
+		repFile = flag.String("report", "", "also write a self-contained Markdown report (claims, tables, ASCII charts) to this file")
 		doPlot  = flag.Bool("plot", false, "render ASCII charts for figure-shaped tables")
 		logY    = flag.Bool("logy", false, "use a logarithmic Y axis for plots")
 		listIDs = flag.Bool("list", false, "list experiments and exit")
@@ -133,71 +129,32 @@ func main() {
 			fmt.Fprintf(os.Stderr, "resume: %d cached cells loaded from %s\n", opts.Cache.Loaded(), *resumeDir)
 		}
 	}
-	names := *machs
-	if *machAlt != "" {
-		if names != "" {
-			names += ","
-		}
-		names += *machAlt
+	var err error
+	if opts.Machines, err = machSel(); err != nil {
+		fatal(err)
 	}
-	if names != "" || *machFil != "" {
-		ms, err := machine.Select(names, *machFil)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Machines = ms
+	wlSpecs, err := wlSel()
+	if err != nil {
+		fatal(err)
 	}
-
-	var wlSpecs []*workload.Spec
-	if *wlNames != "" || *wlFiles != "" {
-		ws, err := workload.SelectSpecs(*wlNames, *wlFiles)
-		if err != nil {
-			fatal(err)
-		}
-		wlSpecs = ws
+	appSpecs, err := apSel()
+	if err != nil {
+		fatal(err)
+	}
+	sel := harness.Selection{
+		IDs: cli.SplitList(*expID), Workloads: wlSpecs, Apps: appSpecs,
+		Fleet: *fleet, Knee: *knee,
+	}
+	exps, err := sel.Experiments()
+	if err != nil {
+		fatal(err)
 	}
 
-	var appSpecs []*apps.Spec
-	if *apNames != "" || *apFiles != "" {
-		as, err := apps.SelectSpecs(*apNames, *apFiles)
-		if err != nil {
+	var rep *report
+	if *repFile != "" {
+		if rep, err = createReport(*repFile, *seed, *quick); err != nil {
 			fatal(err)
 		}
-		appSpecs = as
-	}
-
-	// -exp selects registered experiments; a workload or app selection
-	// appends its suite. With only workloads/apps given, just those
-	// suites run; with neither, every registered experiment runs.
-	var exps []*harness.Experiment
-	if *expID != "" {
-		for _, id := range strings.Split(*expID, ",") {
-			e, err := harness.ByID(strings.TrimSpace(id))
-			if err != nil {
-				fatal(err)
-			}
-			exps = append(exps, e)
-		}
-	} else if wlSpecs == nil && appSpecs == nil && !*fleet {
-		exps = harness.All()
-	}
-	if *fleet {
-		// A fleet sweep takes the selected workloads, defaulting to the
-		// high-faa preset when none are named.
-		specs := wlSpecs
-		if specs == nil {
-			s, err := workload.SpecByName("high-faa")
-			if err != nil {
-				fatal(err)
-			}
-			specs = []*workload.Spec{s}
-		}
-		exps = append(exps, harness.FleetExperiment(specs, *knee))
-	} else if wlSpecs != nil {
-		exps = append(exps, harness.WorkloadExperiment(wlSpecs))
-	}
-	if appSpecs != nil {
-		exps = append(exps, harness.AppExperiment(appSpecs))
 	}
 
 	suiteStart := time.Now()
@@ -219,6 +176,7 @@ func main() {
 			}
 		}
 		tables, err := harness.RunExperiment(e, runOpts)
+		rep.section(e, tables, err)
 		if err != nil {
 			// A failed experiment no longer aborts the run: the failure is
 			// recorded (stderr + manifest, when attached), the remaining
@@ -260,7 +218,9 @@ func main() {
 	// Metrics breakdown tables render after the result tables so the
 	// result output stays byte-identical to a metrics-off run's prefix.
 	if opts.Metrics != nil {
-		for i, t := range opts.Metrics.Tables() {
+		mt := opts.Metrics.Tables()
+		rep.metrics(mt)
+		for i, t := range mt {
 			if err := t.Render(os.Stdout); err != nil {
 				fatal(err)
 			}
@@ -273,6 +233,9 @@ func main() {
 		}
 	}
 
+	if err := rep.close(); err != nil {
+		fatal(err)
+	}
 	if opts.Cache != nil {
 		if err := opts.Cache.Close(); err != nil {
 			fatal(err)

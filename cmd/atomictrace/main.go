@@ -37,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"atomicsmodel/cmd/internal/cli"
 	"atomicsmodel/internal/apps"
 	"atomicsmodel/internal/atomics"
 	"atomicsmodel/internal/coherence"
@@ -47,39 +48,39 @@ import (
 
 func main() {
 	var (
-		machNames = flag.String("machines", "", "comma-separated registered machine names (default: XeonE5)")
-		machAlt   = flag.String("machine", "", "alias for -machines")
-		machFiles = flag.String("machinefile", "", "comma-separated JSON machine spec files to trace alongside -machines")
-		primName  = flag.String("primitive", "FAA", "primitive to trace")
-		threads   = flag.Int("threads", 8, "number of contending threads")
-		ops       = flag.Int("ops", 200, "operations per thread to trace")
-		arbName   = flag.String("arbiter", "fifo", "line arbitration: fifo, random, locality")
-		chrome    = flag.String("chrome", "", "also write a Chrome trace_event JSON timeline to this file (view in chrome://tracing or Perfetto)")
-		apNames   = flag.String("apps", "", "registered app spec name: trace the structure's hot line instead of a bare primitive")
-		apFiles   = flag.String("appfile", "", "JSON app spec file, alternative to -apps")
+		machSel  = cli.MachineFlags("XeonE5")
+		primName = flag.String("primitive", "FAA", "primitive to trace")
+		threads  = flag.Int("threads", 8, "number of contending threads")
+		ops      = flag.Int("ops", 200, "operations per thread to trace")
+		arbName  = flag.String("arbiter", "fifo", "line arbitration: fifo, random, locality")
+		chrome   = flag.String("chrome", "", "also write a Chrome trace_event JSON timeline to this file (view in chrome://tracing or Perfetto)")
+		apSel    = cli.AppFlags("trace the structure's hot line instead of a bare primitive (exactly one spec)")
 	)
 	flag.Parse()
 
-	names := *machNames
-	if *machAlt != "" {
-		if names != "" {
-			names += ","
-		}
-		names += *machAlt
-	}
-	if names == "" && *machFiles == "" {
-		names = "XeonE5"
-	}
-	machines, err := machine.Select(names, *machFiles)
+	machines, err := machSel()
 	if err != nil {
 		fatal(err)
 	}
-
-	if *apNames != "" || *apFiles != "" {
-		specs, err := apps.SelectSpecs(*apNames, *apFiles)
-		if err != nil {
-			fatal(err)
+	specs, err := apSel()
+	if err != nil {
+		fatal(err)
+	}
+	// Each machine gets its own CSV section and Chrome file.
+	each := func(run func(m *machine.Machine, chromeFile string)) {
+		for _, m := range machines {
+			chromeFile := *chrome
+			if chromeFile != "" && len(machines) > 1 {
+				ext := filepath.Ext(chromeFile)
+				chromeFile = chromeFile[:len(chromeFile)-len(ext)] + "." + m.Name + ext
+			}
+			if len(machines) > 1 {
+				fmt.Printf("# machine %s\n", m.Name)
+			}
+			run(m, chromeFile)
 		}
+	}
+	if specs != nil {
 		if len(specs) != 1 {
 			fatal(fmt.Errorf("tracing wants exactly one app spec, got %d", len(specs)))
 		}
@@ -93,17 +94,7 @@ func main() {
 			pt = pt.Clone()
 			pt.Threads = *threads
 		}
-		for _, m := range machines {
-			chromeFile := *chrome
-			if chromeFile != "" && len(machines) > 1 {
-				ext := filepath.Ext(chromeFile)
-				chromeFile = chromeFile[:len(chromeFile)-len(ext)] + "." + m.Name + ext
-			}
-			if len(machines) > 1 {
-				fmt.Printf("# machine %s\n", m.Name)
-			}
-			traceApp(m, pt, *ops, chromeFile)
-		}
+		each(func(m *machine.Machine, file string) { traceApp(m, pt, *ops, file) })
 		return
 	}
 
@@ -111,17 +102,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	for _, m := range machines {
-		chromeFile := *chrome
-		if chromeFile != "" && len(machines) > 1 {
-			ext := filepath.Ext(chromeFile)
-			chromeFile = chromeFile[:len(chromeFile)-len(ext)] + "." + m.Name + ext
-		}
-		if len(machines) > 1 {
-			fmt.Printf("# machine %s\n", m.Name)
-		}
-		traceMachine(m, p, *threads, *ops, *arbName, chromeFile)
-	}
+	each(func(m *machine.Machine, file string) { traceMachine(m, p, *threads, *ops, *arbName, file) })
 }
 
 // traceApp runs an app spec's structure with the recorder on its hot

@@ -748,49 +748,3 @@ func SpecByName(name string) (*Spec, error) {
 	}
 	return specReg[canonical].Clone(), nil
 }
-
-// SelectSpecs resolves the app specs a CLI run targets: names is a
-// comma-separated list of registered spec names, files a
-// comma-separated list of JSON spec file paths. Either may be empty;
-// results concatenate in the order given, names first. Specs with
-// duplicate digests are rejected: the harness would silently fold
-// their cells together.
-func SelectSpecs(names, files string) ([]*Spec, error) {
-	var out []*Spec
-	for _, name := range splitList(names) {
-		s, err := SpecByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	for _, path := range splitList(files) {
-		s, err := LoadSpecFile(path)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	seen := map[string]bool{}
-	for _, s := range out {
-		d, err := s.Digest()
-		if err != nil {
-			return nil, err
-		}
-		if seen[d] {
-			return nil, fmt.Errorf("apps: spec %s (digest %s) selected twice", s.label(), d)
-		}
-		seen[d] = true
-	}
-	return out, nil
-}
-
-func splitList(csv string) []string {
-	var out []string
-	for _, part := range strings.Split(csv, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}

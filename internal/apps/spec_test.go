@@ -255,16 +255,6 @@ func TestAppSpecRegistry(t *testing.T) {
 	if _, err := SpecByName("no-such-app"); err == nil {
 		t.Fatal("unknown name accepted")
 	}
-	if _, err := SelectSpecs("faa-counter,faa-counter", ""); err == nil {
-		t.Fatal("duplicate selection accepted")
-	}
-	sel, err := SelectSpecs("faa-counter,cas-counter", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) != 2 {
-		t.Fatalf("SelectSpecs returned %d specs", len(sel))
-	}
 	for _, name := range names {
 		reg, err := SpecByName(name)
 		if err != nil {

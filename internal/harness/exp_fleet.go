@@ -34,30 +34,12 @@ func FleetExperiment(specs []*workload.Spec, threshold float64) *Experiment {
 	}
 }
 
-// fleetMachines is the fleet's machine selection: an explicit
-// -machines list wins; otherwise every registered spec (EPYC, Grace,
-// KNL, XeonE5, XeonSP, ... — not machine.All()'s default pair).
-func fleetMachines(o Options) ([]*machine.Machine, error) {
-	if len(o.Machines) > 0 {
-		return o.Machines, nil
-	}
-	var ms []*machine.Machine
-	for _, name := range machine.Names() {
-		m, err := machine.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		ms = append(ms, m)
-	}
-	return ms, nil
-}
-
 // runFleetSweep runs every spec ladder on every fleet machine and rolls
 // each cell's metrics snapshot into a bottleneck report: one ladder
 // table per machine x spec, then one cross-architecture summary table
 // per spec with the per-machine verdict as columns.
 func runFleetSweep(o Options, specs []*workload.Spec, threshold float64) ([]*Table, error) {
-	machines, err := fleetMachines(o)
+	machines, err := FleetMachines(o.Machines)
 	if err != nil {
 		return nil, err
 	}

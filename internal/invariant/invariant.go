@@ -5,7 +5,7 @@
 // believing they own a line, a lost sharer invalidation, event time
 // running backwards — would skew every latency/throughput/fairness
 // table while every test stays green. With checking enabled (the
-// `-check` flag on atomicsim/atomicreport; workload.Config.Check /
+// `-check` flag on atomicsim and atomicd jobs; workload.Config.Check /
 // apps.RunConfig.Check underneath) every directory transition and every
 // completed serialized access is audited as it happens, and Finalize
 // sweeps the end-of-run state.

@@ -683,17 +683,8 @@ func (s *Server) executeOnce(ctx context.Context, j *job) (text []byte, err erro
 	// A job may carry workloads (the W suite or a fleet sweep), app
 	// specs (the A suite), or both; both suites share the job's cell
 	// cache and progress stream.
-	var exps []*harness.Experiment
-	if j.spec.Fleet {
-		exps = append(exps, harness.FleetExperiment(res.Specs, res.Knee))
-	} else if len(res.Specs) > 0 {
-		exps = append(exps, harness.WorkloadExperiment(res.Specs))
-	}
-	if len(res.AppSpecs) > 0 {
-		exps = append(exps, harness.AppExperiment(res.AppSpecs))
-	}
 	var tables []*harness.Table
-	for _, exp := range exps {
+	for _, exp := range res.Experiments {
 		ts, err := harness.RunExperiment(exp, o)
 		if err != nil {
 			return nil, err

@@ -30,6 +30,7 @@ import (
 	"strings"
 
 	"atomicsmodel/internal/apps"
+	"atomicsmodel/internal/harness"
 	"atomicsmodel/internal/machine"
 	"atomicsmodel/internal/runlog"
 	"atomicsmodel/internal/workload"
@@ -87,15 +88,9 @@ type Spec struct {
 // seed reuses their cache cells.
 const DefaultSeed = 42
 
-// maxJobMachines bounds the machine list; a longer one is a typo or an
-// attack, not a plan.
-const maxJobMachines = 64
-
-// maxJobWorkloads bounds the workload list.
-const maxJobWorkloads = 64
-
-// maxJobApps bounds the app list.
-const maxJobApps = 64
+// maxJobList bounds each of the machine, workload and app lists; a
+// longer one is a typo or an attack, not a plan.
+const maxJobList = 64
 
 // ParseSpec decodes a job request strictly: unknown fields (at any
 // nesting level, including inline machine and workload specs) and
@@ -116,30 +111,32 @@ func ParseSpec(data []byte) (*Spec, error) {
 }
 
 // Resolved is a job spec with every name resolved against the live
-// registries: the concrete machines and pinned workload specs the
-// harness will run, plus the effective seed and knee.
+// registries: the concrete machines and pinned workload and app specs
+// the harness will run, the effective seed, and the experiments they
+// make.
 type Resolved struct {
-	Machines []*machine.Machine
-	Specs    []*workload.Spec
-	AppSpecs []*apps.Spec
-	Seed     uint64
-	Knee     float64
+	Machines    []*machine.Machine
+	Specs       []*workload.Spec
+	AppSpecs    []*apps.Spec
+	Seed        uint64
+	Experiments []*harness.Experiment
 }
 
 // Resolve validates the spec and resolves names to machines and
-// workload specs. Resolution is deterministic: machines and workloads
-// keep their request order, and the fleet default (every registered
-// machine) is expanded here, at submit time, so the job's identity
-// pins the machine set even if the registry later grows.
+// workload specs through the same selection rules as the CLIs
+// (harness.Select, harness.Selection). Resolution is deterministic:
+// machines and workloads keep their request order, and the fleet
+// default (every registered machine) is expanded here, at submit time,
+// so the job's identity pins the machine set even if the registry
+// later grows.
 func (s *Spec) Resolve() (*Resolved, error) {
-	if len(s.Machines) > maxJobMachines {
-		return nil, fmt.Errorf("jobs: %d machines (max %d)", len(s.Machines), maxJobMachines)
-	}
-	if len(s.Workloads) > maxJobWorkloads {
-		return nil, fmt.Errorf("jobs: %d workloads (max %d)", len(s.Workloads), maxJobWorkloads)
-	}
-	if len(s.Apps) > maxJobApps {
-		return nil, fmt.Errorf("jobs: %d apps (max %d)", len(s.Apps), maxJobApps)
+	for _, l := range []struct {
+		name string
+		n    int
+	}{{"machines", len(s.Machines)}, {"workloads", len(s.Workloads)}, {"apps", len(s.Apps)}} {
+		if l.n > maxJobList {
+			return nil, fmt.Errorf("jobs: %d %s (max %d)", l.n, l.name, maxJobList)
+		}
 	}
 	hasWorkloads := len(s.Workloads) > 0 || s.WorkloadSpec != nil
 	hasApps := len(s.Apps) > 0 || s.AppSpec != nil
@@ -153,72 +150,63 @@ func (s *Spec) Resolve() (*Resolved, error) {
 	if s.Knee != 0 && !s.Fleet {
 		return nil, fmt.Errorf("jobs: knee is a fleet option; set fleet=true or drop it")
 	}
-	if s.Knee < 0 || s.Knee > 1 {
-		return nil, fmt.Errorf("jobs: knee %g (want a utilization threshold in (0,1])", s.Knee)
-	}
 	if s.DeadlineMS < 0 {
 		return nil, fmt.Errorf("jobs: deadlineMS %d (want >= 0)", s.DeadlineMS)
 	}
 
-	r := &Resolved{Seed: s.Seed, Knee: s.Knee}
+	r := &Resolved{Seed: s.Seed}
 	if r.Seed == 0 {
 		r.Seed = DefaultSeed
 	}
 
-	for _, name := range s.Machines {
-		m, err := machine.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, fmt.Errorf("jobs: %w", err)
-		}
-		r.Machines = append(r.Machines, m)
-	}
+	var inlineMachines []*machine.Machine
 	if s.MachineSpec != nil {
 		m, err := s.MachineSpec.Build()
 		if err != nil {
 			return nil, fmt.Errorf("jobs: inline machine spec: %w", err)
 		}
-		r.Machines = append(r.Machines, m)
+		inlineMachines = []*machine.Machine{m}
 	}
-	if len(r.Machines) == 0 {
-		if s.Fleet {
-			for _, name := range machine.Names() {
-				m, err := machine.ByName(name)
-				if err != nil {
-					return nil, fmt.Errorf("jobs: %w", err)
-				}
-				r.Machines = append(r.Machines, m)
-			}
-		} else {
-			r.Machines = machine.All()
-		}
+	ms, err := harness.Select(s.Machines, machine.ByName, inlineMachines, harness.MachineKey)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
-
-	for _, name := range s.Workloads {
-		w, err := workload.SpecByName(strings.TrimSpace(name))
-		if err != nil {
+	switch {
+	case len(ms) > 0:
+		r.Machines = ms
+	case s.Fleet:
+		if r.Machines, err = harness.FleetMachines(nil); err != nil {
 			return nil, fmt.Errorf("jobs: %w", err)
 		}
-		r.Specs = append(r.Specs, w)
+	default:
+		r.Machines = machine.All()
 	}
+
+	var inlineWorkloads []*workload.Spec
 	if s.WorkloadSpec != nil {
 		if err := s.WorkloadSpec.Validate(); err != nil {
 			return nil, fmt.Errorf("jobs: inline workload spec: %w", err)
 		}
-		r.Specs = append(r.Specs, s.WorkloadSpec)
+		inlineWorkloads = []*workload.Spec{s.WorkloadSpec}
+	}
+	if r.Specs, err = harness.Select(s.Workloads, workload.SpecByName, inlineWorkloads, harness.SpecKey); err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
 
-	for _, name := range s.Apps {
-		a, err := apps.SpecByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, fmt.Errorf("jobs: %w", err)
-		}
-		r.AppSpecs = append(r.AppSpecs, a)
-	}
+	var inlineApps []*apps.Spec
 	if s.AppSpec != nil {
 		if err := s.AppSpec.Validate(); err != nil {
 			return nil, fmt.Errorf("jobs: inline app spec: %w", err)
 		}
-		r.AppSpecs = append(r.AppSpecs, s.AppSpec)
+		inlineApps = []*apps.Spec{s.AppSpec}
+	}
+	if r.AppSpecs, err = harness.Select(s.Apps, apps.SpecByName, inlineApps, harness.SpecKey); err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
+	}
+
+	sel := harness.Selection{Workloads: r.Specs, Apps: r.AppSpecs, Fleet: s.Fleet, Knee: s.Knee}
+	if r.Experiments, err = sel.Experiments(); err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
 	return r, nil
 }
@@ -240,13 +228,13 @@ type jobIdentity struct {
 	// Apps is omitempty so workload-only job IDs predate the field
 	// unchanged: adding the apps layer must not invalidate every
 	// journaled job identity.
-	Apps  []string `json:"apps,omitempty"`
-	Fleet bool     `json:"fleet,omitempty"`
-	Knee      float64  `json:"knee,omitempty"`
-	Quick     bool     `json:"quick,omitempty"`
-	Metrics   bool     `json:"metrics,omitempty"`
-	Check     bool     `json:"check,omitempty"`
-	Seed      uint64   `json:"seed"`
+	Apps    []string `json:"apps,omitempty"`
+	Fleet   bool     `json:"fleet,omitempty"`
+	Knee    float64  `json:"knee,omitempty"`
+	Quick   bool     `json:"quick,omitempty"`
+	Metrics bool     `json:"metrics,omitempty"`
+	Check   bool     `json:"check,omitempty"`
+	Seed    uint64   `json:"seed"`
 }
 
 // ID returns the job's content-addressed identity: "j" plus the short

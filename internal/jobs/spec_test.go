@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -88,6 +89,10 @@ func TestResolveValidation(t *testing.T) {
 		{"knee without fleet", `{"workloads":["high-faa"],"knee":0.5}`, "fleet option"},
 		{"knee out of range", `{"workloads":["high-faa"],"fleet":true,"knee":1.5}`, "knee"},
 		{"negative deadline", `{"workloads":["high-faa"],"deadlineMS":-1}`, "deadlineMS"},
+		{"workload twice", `{"workloads":["high-faa","high-faa"],"machines":["XeonE5"],"quick":true}`, "selected twice"},
+		{"machine twice by case", `{"machines":["XeonE5","xeone5"],"workloads":["high-faa"],"quick":true}`, "selected twice"},
+		{"machine twice by alias", `{"machines":["xeon","XeonE5"],"workloads":["high-faa"]}`, "selected twice"},
+		{"app twice", `{"apps":["treiber","Treiber"]}`, "selected twice"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -139,7 +144,7 @@ func TestResolveDefaults(t *testing.T) {
 // panic, and the identity must be deterministic.
 func FuzzJobSpecLoad(f *testing.F) {
 	f.Add([]byte(`{"workloads":["high-faa"],"quick":true}`))
-	f.Add([]byte(`{"machines":["KNL"],"workloadSpec":{"name":"w","pattern":"cas-retry"},"seed":7}`))
+	f.Add([]byte(`{"machines":["KNL"],"workloadSpec":{"name":"w","primitive":"CAS","casRetryLoop":true,"threadLadder":[1,4]},"seed":7}`))
 	f.Add([]byte(`{"fleet":true,"knee":0.8,"workloads":["high-faa","low-faa"]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[`))
@@ -204,5 +209,37 @@ func TestJobAppSpecs(t *testing.T) {
 				t.Fatalf("error = %v, want substring %q", err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestJobIDPinned pins the literal job IDs of a spread of requests.
+// A job ID keys the journal and the result store, so a change to how
+// specs resolve must not silently re-key jobs a daemon has already
+// journaled: if this test fails, the identity derivation changed.
+func TestJobIDPinned(t *testing.T) {
+	inline := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	epyc := inline("../../examples/machines/epyc.json")
+	cohort := inline("../../examples/apps/cohort-lock.json")
+	cases := []struct{ name, body, id string }{
+		{"workloads only", `{"workloads":["high-faa","low-faa"],"quick":true}`, "jf585de5c48817af5"},
+		{"apps only", `{"apps":["treiber"],"quick":true}`, "jfa278da995cc4f07"},
+		{"workloads and apps", `{"workloads":["high-faa"],"apps":["treiber","ticket-lock"],"quick":true}`, "jc4c0a04ec2f1df1a"},
+		{"fleet with knee", `{"workloads":["high-faa","read-mix"],"fleet":true,"knee":0.8,"quick":true}`, "jcd59e0c0d5d2eb1d"},
+		{"fleet default machines", `{"workloads":["high-faa"],"fleet":true}`, "j76180814b52505d5"},
+		{"machine aliases and case", `{"machines":["xeon","KNL","rome","ARM"],"workloads":["high-faa"],"seed":7}`, "jd5d92a715fc9e34e"},
+		{"inline machine", `{"machines":["XeonE5"],"machineSpec":` + epyc + `,"workloads":["high-faa"],"quick":true}`, "jb2232fade3958e12"},
+		{"inline workload", `{"workloads":["high-faa"],"workloadSpec":{"name":"w","primitive":"CAS","casRetryLoop":true,"threadLadder":[1,4]},"quick":true,"metrics":true}`, "jef01a017f6baab2f"},
+		{"inline app", `{"machines":["EPYC"],"apps":["treiber"],"appSpec":` + cohort + `,"quick":true,"check":true}`, "j1dd618c3f2c93d90"},
+	}
+	for _, c := range cases {
+		if got := mustID(t, c.body); got != c.id {
+			t.Errorf("%s: ID %s, pinned %s", c.name, got, c.id)
+		}
 	}
 }

@@ -207,45 +207,3 @@ func Ideal(cores int) *Machine {
 	}
 	return m
 }
-
-// Select resolves the machines a CLI run targets: names is a
-// comma-separated list of registered machine names (ByName), files a
-// comma-separated list of JSON spec file paths (LoadSpecFile). Either
-// may be empty; the results concatenate in the order given, names
-// first. Machines with duplicate cache identities (Machine.Key) are
-// rejected: the harness would silently fold their cells together.
-func Select(names, files string) ([]*Machine, error) {
-	var out []*Machine
-	for _, name := range splitList(names) {
-		m, err := ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	for _, path := range splitList(files) {
-		m, err := LoadSpecFile(path)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	seen := map[string]bool{}
-	for _, m := range out {
-		if seen[m.Key()] {
-			return nil, fmt.Errorf("machine: %s selected twice", m.Key())
-		}
-		seen[m.Key()] = true
-	}
-	return out, nil
-}
-
-func splitList(csv string) []string {
-	var out []string
-	for _, part := range strings.Split(csv, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}

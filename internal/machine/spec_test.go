@@ -2,8 +2,6 @@ package machine
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -249,61 +247,6 @@ func TestByNameAliases(t *testing.T) {
 		if m.Name != canonical {
 			t.Errorf("ByName(%s) = %s, want %s", alias, m.Name, canonical)
 		}
-	}
-}
-
-func TestSelect(t *testing.T) {
-	ms, err := Select("XeonE5, knl", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 2 || ms[0].Name != "XeonE5" || ms[1].Name != "KNL" {
-		t.Fatalf("Select: got %v", ms)
-	}
-
-	// The same machine through two names is one cache namespace — reject.
-	if _, err := Select("XeonE5,xeon", ""); err == nil || !strings.Contains(err.Error(), "twice") {
-		t.Fatalf("duplicate selection: got %v", err)
-	}
-
-	// A spec file rides alongside names; a same-named but different spec
-	// is allowed because the digests differ.
-	s, err := SpecByName("XeonE5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.FreqGHz = 2.6
-	raw, err := s.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "xeon26.json")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ms, err = Select("XeonE5", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 2 || ms[0].Key() == ms[1].Key() {
-		t.Fatalf("same-named custom spec must key distinctly: %v vs %v", ms[0].Key(), ms[1].Key())
-	}
-
-	// The byte-identical spec through a file is the preset again — reject.
-	preset, err := SpecByName("XeonE5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err = preset.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := filepath.Join(t.TempDir(), "same.json")
-	if err := os.WriteFile(same, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Select("XeonE5", same); err == nil {
-		t.Fatal("byte-identical spec file selected alongside its preset")
 	}
 }
 

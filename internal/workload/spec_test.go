@@ -290,16 +290,6 @@ func TestSpecRegistry(t *testing.T) {
 	if _, err := SpecByName("no-such-workload"); err == nil {
 		t.Fatal("unknown name accepted")
 	}
-	if _, err := SelectSpecs("high-faa,high-faa", ""); err == nil {
-		t.Fatal("duplicate selection accepted")
-	}
-	sel, err := SelectSpecs("high-faa,low-faa", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) != 2 {
-		t.Fatalf("SelectSpecs returned %d specs", len(sel))
-	}
 }
 
 func TestRunSpecEndToEnd(t *testing.T) {

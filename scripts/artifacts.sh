@@ -1,8 +1,8 @@
 #!/bin/sh
 # Regenerates the checked-in full-size artifacts from one full-size
-# atomicsim run: fullrun.txt (its tables), results/*.csv (its per-table
-# CSVs) and report.md, which atomicreport renders by replaying that
-# run's cell cache without simulating again. Run from the repo root:
+# atomicsim run: fullrun.txt (its tables on stdout), results/*.csv (its
+# per-table CSVs) and report.md (its -report Markdown). Run from the
+# repo root:
 #
 #   scripts/artifacts.sh          rewrite the artifacts in place
 #   scripts/artifacts.sh DIR      write them under DIR instead
@@ -27,10 +27,7 @@ if [ "${1:-}" = "-check" ]; then
 fi
 
 out=${1:-.}
-run=$(mktemp -d)
-trap 'rm -rf "$run"' EXIT
 mkdir -p "$out/results"
 rm -f "$out"/results/*.csv
-go run ./cmd/atomicsim -quiet -manifest "$run/cells" -csv "$out/results" \
+go run ./cmd/atomicsim -quiet -csv "$out/results" -report "$out/report.md" \
     > "$out/fullrun.txt"
-go run ./cmd/atomicreport -resume "$run/cells" -o "$out/report.md" > /dev/null

@@ -4,7 +4,8 @@
 # the full test suite, a race-detector pass over the packages with real
 # concurrency (the cell scheduler, the run log it writes through, and
 # the hottest pooled data structures in the coherence layer), smoke
-# runs of the atomicsim CLI exercising the manifest/resume path and the
+# runs of the atomicsim CLI exercising the manifest/resume path, the
+# -report Markdown output, the fleet knee range check and the
 # observability layer (-metrics tables, -chrome traces) end to end,
 # a full invariant-checked sweep, a cache-corruption/quarantine smoke,
 # a custom-machine-spec smoke (-machinefile load, digest-keyed resume,
@@ -56,6 +57,26 @@ go run ./cmd/atomicsim -checkmanifest "$dir/run"
 grep -q '"type":"cell"' "$dir/run/manifest.jsonl"
 grep -q '"type":"run"' "$dir/run/manifest.jsonl"
 grep -q '"cached":true' "$dir/run/manifest.jsonl"
+
+echo "== -report smoke (Markdown report from the same run, stdout unchanged)"
+go run ./cmd/atomicsim -quick -quiet -exp F3 -machine XeonE5 \
+    -report "$dir/r.md" > "$dir/report_stdout.txt"
+grep -q '^## F3 ' "$dir/r.md" || { echo "report is missing the F3 section" >&2; exit 1; }
+grep -q '^```$' "$dir/r.md" || { echo "report has no fenced table" >&2; exit 1; }
+# fresh.txt is the same run without -report (its -manifest leaves
+# stdout alone, as the resume check above shows).
+cmp "$dir/fresh.txt" "$dir/report_stdout.txt" || {
+    echo "-report changed atomicsim's stdout" >&2
+    exit 1
+}
+# A fleet knee above 1 can never be crossed (utilizations are clamped
+# to [0, 1]), so it must be rejected, not run.
+if go run ./cmd/atomicsim -quick -quiet -fleet -knee 1.5 -machines Ideal8 \
+    > /dev/null 2> "$dir/knee.log"; then
+    echo "-knee 1.5 was accepted" >&2
+    exit 1
+fi
+grep -q 'knee 1.5' "$dir/knee.log"
 
 echo "== observability smoke run (-metrics tables, -chrome trace)"
 go run ./cmd/atomicsim -quick -quiet -exp F3 -machine XeonE5 -metrics \

@@ -88,10 +88,12 @@ func checkPackageComments(root string) []string {
 }
 
 // mdLink matches inline Markdown links [text](target); bare uppercase
-// doc references like "ARCHITECTURE.md" are matched separately.
+// doc references like "ARCHITECTURE.md" are matched separately, with
+// any directory prefix ("perfbench/README.md"), so they resolve at the
+// path they name rather than at the repo root.
 var (
 	mdLink  = regexp.MustCompile(`\]\(([^)\s]+)\)`)
-	mdocRef = regexp.MustCompile(`\b([A-Z][A-Z_]+\.md)\b`)
+	mdocRef = regexp.MustCompile(`((?:[\w.-]+/)*\b[A-Z][A-Z_]+\.md)\b`)
 	fence   = regexp.MustCompile("^\\s*(```|~~~)")
 )
 
